@@ -20,11 +20,10 @@ from .picard_fuchs import (MalformedSpec, MirrorMap, MonodromyMatrix, NotMUM,
                            PFOperator, RankCheckFailed, SolutionBasis,
                            frobenius_solutions, load_operator, load_operator_json,
                            mirror_map, monodromy_matrix, residual)
-from .pipeline import PipelineResult, run_pipeline, solve_stage
+from .pipeline import PipelineResult, run_pipeline
 from .series import (CompositionValuation, ExpConstantTerm, LogConstantTerm,
                      LogSeries, RationalSeries, ReversionValuation, SeriesError,
-                     ZeroLeadingCoefficient, compose, delta, exp_series, invert,
-                     log_series, reversion)
+                     ZeroLeadingCoefficient, exp_series, log_series)
 from .yukawa import (InstantonSeries, InsufficientOrder, NonIntegrableRHS,
                      NotRankFour, YukawaData, instanton_extract, lambert_expand,
                      yukawa_q, yukawa_t)
@@ -39,13 +38,13 @@ __all__ = [
     "NonIntegrableRHS", "NotMUM", "NotPrime", "NotRankFour", "OrderMismatch",
     "PFOperator", "PadicSeries", "PadicValuation", "PipelineResult",
     "RankCheckFailed", "RationalSeries", "ReversionValuation", "SeriesError",
-    "SolutionBasis", "YukawaData", "ZeroLeadingCoefficient", "compose",
-    "delta", "denominator_support", "dwork_certify", "exp_series",
+    "SolutionBasis", "YukawaData", "ZeroLeadingCoefficient",
+    "denominator_support", "dwork_certify", "exp_series",
     "fixture_names", "fixture_operator", "frobenius_solutions",
     "frobenius_substitute", "gauge_certify", "hypergeometric_doc",
-    "INF", "instanton_extract", "invert", "is_prime", "ksv_certify", "lambert_expand",
+    "INF", "instanton_extract", "is_prime", "ksv_certify", "lambert_expand",
     "load_operator", "load_operator_json", "log_series", "mirror_map",
     "monodromy_matrix", "n_integrality_report", "primes_up_to", "reduce_series",
-    "residual", "reversion", "run_pipeline", "solve_stage", "valuation",
+    "residual", "run_pipeline", "valuation",
     "yukawa_q", "yukawa_t",
 ]

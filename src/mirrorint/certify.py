@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .padic import INF, _check_prime, _vp, frobenius_substitute, primes_up_to
+from .padic import _check_prime, _vp, _vp_int, frobenius_substitute, primes_up_to
 from .picard_fuchs import MirrorMap
 from .series import RationalSeries, log_series, exp_series
 from .yukawa import InstantonSeries
@@ -137,14 +137,6 @@ def _frobenius_difference(y_q: RationalSeries, p: int, order: int) -> RationalSe
     return y - frobenius_substitute(y, p, max_order=order)
 
 
-def _vp_or_zero(m: int, p: int) -> int:
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
 def ksv_certify(y_q: RationalSeries, p: int, order: int) -> KSVCertificate:
     """Check v_p(b_m) >= 3 v_p(m) for b = Y(q) - Y(q^p)."""
     _check_prime(p)
@@ -154,7 +146,7 @@ def ksv_certify(y_q: RationalSeries, p: int, order: int) -> KSVCertificate:
         c = b.coeff(m)
         if not c:
             continue
-        if _vp(c, p) < 3 * _vp_or_zero(m, p):
+        if _vp(c, p) < 3 * _vp_int(m, p):
             psi_val = _vp(Fraction(c, m ** 3), p)
             failure = FailureLocus(index=m, valuation=psi_val)
             break
@@ -221,7 +213,10 @@ class PrimeCertificates:
 
     @property
     def all_pass(self) -> bool:
-        return self.dwork.verdict and self.ksv.verdict and self.gauge.verdict
+        """Every verdict passed and every witness was re-verified."""
+        return (self.dwork.verdict and self.dwork.witness_verified
+                and self.ksv.verdict and self.ksv.witness_verified
+                and self.gauge.verdict and self.gauge.relations_verified)
 
 
 @dataclass(frozen=True)
@@ -229,8 +224,8 @@ class IntegralityReport:
     """Aggregated certificate verdicts with the observed denominator data.
 
     consistent means every admissible tested prime passed all three
-    certificates; the guarantee is for the truncated range only, which the
-    notes spell out.
+    certificates and had every witness re-verified; the guarantee is for the
+    truncated range only, which the notes spell out.
     """
 
     operator_name: str

@@ -15,8 +15,9 @@ from typing import Optional
 from . import reports
 from .certify import n_integrality_report
 from .fixtures import fixture_names, fixture_operator
-from .picard_fuchs import MalformedSpec, PFOperator, load_operator_json
-from .pipeline import run_pipeline, solve_stage
+from .picard_fuchs import (MalformedSpec, PFOperator, frobenius_solutions,
+                           load_operator_json, mirror_map, monodromy_matrix)
+from .pipeline import run_pipeline
 
 DEFAULT_ORDER = 64
 DEFAULT_MAX_DEGREE = 16
@@ -145,28 +146,29 @@ def _check_prime_bound(cfg: JobConfig, op: PFOperator) -> None:
 
 def cmd_solve(cfg: JobConfig, op: PFOperator) -> tuple[str, int]:
     _reject_csv(cfg)
-    result = solve_stage(op, cfg.order)
+    basis = frobenius_solutions(op, cfg.order)
+    mono = monodromy_matrix(basis)
     if cfg.fmt == "text":
         lines = [f"operator: {op.name} (rank {op.rank}), order {cfg.order}"]
-        for k, g in enumerate(result.basis.gs):
+        for k, g in enumerate(basis.gs):
             lines.extend(reports.series_text_lines(g, f"g_{k}"))
         lines.append("monodromy (d/dlog t on y_0..y_%d):" % (op.rank - 1))
-        for row in result.monodromy.entries:
+        for row in mono.entries:
             lines.append("  [" + ", ".join(reports.frac_str(c) for c in row) + "]")
         lines.append("rank profile: "
-                     + ", ".join(f"rank(N^{e}) = {result.monodromy.rank_of_power(e)}"
+                     + ", ".join(f"rank(N^{e}) = {mono.rank_of_power(e)}"
                                  for e in range(1, op.rank + 1)))
         return "\n".join(lines) + "\n", 0
     doc = {
         "operator": op.name,
         "rank": op.rank,
         "order": cfg.order,
-        "g": [reports.series_to_doc(g) for g in result.basis.gs],
-        "solutions": [reports.log_series_to_doc(y) for y in result.basis.solutions],
+        "g": [reports.series_to_doc(g) for g in basis.gs],
+        "solutions": [reports.log_series_to_doc(y) for y in basis.solutions],
         "monodromy": {
             "entries": [[reports.frac_str(c) for c in row]
-                        for row in result.monodromy.entries],
-            "rank_profile": [result.monodromy.rank_of_power(e)
+                        for row in mono.entries],
+            "rank_profile": [mono.rank_of_power(e)
                              for e in range(op.rank + 1)],
         },
     }
@@ -175,8 +177,7 @@ def cmd_solve(cfg: JobConfig, op: PFOperator) -> tuple[str, int]:
 
 def cmd_mirror_map(cfg: JobConfig, op: PFOperator) -> tuple[str, int]:
     _reject_csv(cfg)
-    result = solve_stage(op, cfg.order)
-    mm = result.mm
+    mm = mirror_map(frobenius_solutions(op, cfg.order))
     if cfg.fmt == "text":
         lines = [f"operator: {op.name}, order {cfg.order}",
                  f"monodromy index k = {mm.monodromy_index}"]

@@ -104,16 +104,6 @@ def valuation(x, p: int) -> PadicValuation:
     return PadicValuation(p, _vp(x, p))
 
 
-def series_valuation_floor(f: RationalSeries, p: int) -> PadicValuation:
-    """min v_p over the determined coefficients (INF when all vanish)."""
-    _check_prime(p)
-    v = INF
-    for c in f.coeffs:
-        if c:
-            v = min(v, _vp(c, p))
-    return PadicValuation(p, v)
-
-
 def frobenius_substitute(f: RationalSeries, p: int,
                          max_order: int | None = None) -> RationalSeries:
     """f(t^p).
@@ -141,51 +131,16 @@ def frobenius_substitute(f: RationalSeries, p: int,
 
 @dataclass(frozen=True)
 class PadicSeries:
-    """Series reduced mod p^k: residues for exponents 0..order-1.
-
-    exact_lift records that the residues came from a genuinely p-integral
-    rational series (reduce_series), as opposed to mod-p^k arithmetic whose
-    inputs were already reduced.
-    """
+    """Series reduced mod p^k: residues for exponents 0..order-1."""
 
     prime: int
     precision: int
     residues: tuple[int, ...]
     order: int
-    exact_lift: bool = False
 
     @property
     def modulus(self) -> int:
         return self.prime ** self.precision
-
-    def __add__(self, other: "PadicSeries") -> "PadicSeries":
-        self._compatible(other)
-        k = min(self.precision, other.precision)
-        order = min(self.order, other.order)
-        mod = self.prime ** k
-        res = tuple((a + b) % mod for a, b in
-                    zip(self.residues[:order], other.residues[:order]))
-        return PadicSeries(self.prime, k, res, order,
-                           self.exact_lift and other.exact_lift)
-
-    def __mul__(self, other: "PadicSeries") -> "PadicSeries":
-        self._compatible(other)
-        k = min(self.precision, other.precision)
-        order = min(self.order, other.order)
-        mod = self.prime ** k
-        out = [0] * order
-        for i, a in enumerate(self.residues[:order]):
-            if a:
-                for j in range(order - i):
-                    b = other.residues[j] if j < len(other.residues) else 0
-                    if b:
-                        out[i + j] = (out[i + j] + a * b) % mod
-        return PadicSeries(self.prime, k, tuple(out), order,
-                           self.exact_lift and other.exact_lift)
-
-    def _compatible(self, other: "PadicSeries") -> None:
-        if self.prime != other.prime:
-            raise ValueError(f"prime mismatch: {self.prime} vs {other.prime}")
 
 
 def reduce_series(f: RationalSeries, p: int, k: int = 20) -> PadicSeries:
@@ -210,4 +165,4 @@ def reduce_series(f: RationalSeries, p: int, k: int = 20) -> PadicSeries:
             raise NegativeValuation(p, m, v)
         den = c.denominator
         res[m] = c.numerator * pow(den, -1, mod) % mod if den != 1 else c.numerator % mod
-    return PadicSeries(p, k, tuple(res), f.order, exact_lift=True)
+    return PadicSeries(p, k, tuple(res), f.order)

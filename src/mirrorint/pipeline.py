@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .picard_fuchs import (MirrorMap, MonodromyMatrix, PFOperator, SolutionBasis,
-                           frobenius_solutions, mirror_map, monodromy_matrix)
+from .picard_fuchs import (MirrorMap, PFOperator, SolutionBasis, frobenius_solutions,
+                           mirror_map)
 from .yukawa import (InstantonSeries, YukawaData, instanton_extract, yukawa_q,
                      yukawa_t)
 
@@ -17,22 +17,9 @@ class PipelineResult:
     operator: PFOperator
     order: int
     basis: SolutionBasis
-    monodromy: MonodromyMatrix
     mm: MirrorMap
-    yukawa: Optional[YukawaData] = None
+    yukawa: YukawaData
     instantons: Optional[InstantonSeries] = None
-
-
-def solve_stage(op: PFOperator, order: int) -> PipelineResult:
-    """Frobenius basis, monodromy profile and mirror map; any rank >= 2."""
-    basis = frobenius_solutions(op, order)
-    return PipelineResult(
-        operator=op,
-        order=order,
-        basis=basis,
-        monodromy=monodromy_matrix(basis),
-        mm=mirror_map(basis),
-    )
 
 
 def run_pipeline(op: PFOperator, order: int,
@@ -42,18 +29,18 @@ def run_pipeline(op: PFOperator, order: int,
         raise ValueError(
             f"operator {op.name!r} declares no n0; the coupling normalization "
             "W(0) = n0 is required beyond the mirror map")
-    partial = solve_stage(op, order)
+    basis = frobenius_solutions(op, order)
+    mm = mirror_map(basis)
     w_t = yukawa_t(op, op.n0, order)
-    y_q = yukawa_q(w_t, partial.basis.holomorphic, partial.mm, order)
+    y_q = yukawa_q(w_t, basis.holomorphic, mm, order)
     instantons = None
     if max_degree is not None:
         instantons = instanton_extract(y_q, max_degree)
     return PipelineResult(
         operator=op,
         order=order,
-        basis=partial.basis,
-        monodromy=partial.monodromy,
-        mm=partial.mm,
+        basis=basis,
+        mm=mm,
         yukawa=YukawaData(w_t=w_t, y_q=y_q, n0=Fraction(op.n0)),
         instantons=instantons,
     )

@@ -25,10 +25,6 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def valuation_value(v) -> object:
     return "inf" if v == INF else int(v)
 
@@ -39,14 +35,6 @@ def series_to_doc(s: RationalSeries) -> dict:
         "order": s.order,
         "coefficients": [frac_str(c) for c in s.coeffs],
     }
-
-
-def series_from_doc(doc: dict) -> RationalSeries:
-    return RationalSeries.from_coeffs(
-        [parse_frac(c) for c in doc["coefficients"]],
-        order=doc["order"],
-        valuation=doc["valuation"],
-    )
 
 
 def log_series_to_doc(f: LogSeries) -> dict:

@@ -444,10 +444,6 @@ class LogSeries:
             ps.pop()
         self.parts = tuple(ps)
 
-    @classmethod
-    def from_series(cls, f: RationalSeries) -> "LogSeries":
-        return cls([f])
-
     @property
     def log_degree(self) -> int:
         return len(self.parts) - 1
@@ -466,9 +462,6 @@ class LogSeries:
             return NotImplemented
         n = max(len(self.parts), len(other.parts))
         return LogSeries([self.part(j) + other.part(j) for j in range(n)])
-
-    def __sub__(self, other: "LogSeries") -> "LogSeries":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "LogSeries":
         return LogSeries([p * c for p in self.parts])
@@ -510,20 +503,3 @@ class LogSeries:
     def __repr__(self) -> str:
         inner = ", ".join(f"L^{j}: {p!r}" for j, p in enumerate(self.parts))
         return f"LogSeries({inner})"
-
-
-def invert(a: RationalSeries) -> RationalSeries:
-    return a.invert()
-
-
-def compose(outer: RationalSeries, inner: RationalSeries) -> RationalSeries:
-    return outer.compose(inner)
-
-
-def reversion(f: RationalSeries) -> RationalSeries:
-    return f.reversion()
-
-
-def delta(f):
-    """t d/dt on either series flavor."""
-    return f.delta()

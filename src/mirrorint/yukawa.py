@@ -5,7 +5,7 @@ order equation delta(log W) = -(1/2) a_3/a_4, fixed by W(0) = n_0.  Pushed
 to the canonical coordinate q and divided by the square of the holomorphic
 period,
 
-    Y(q) = (W/y_0^2)(t(q)) * ((q/t(q)) dt/dq)^3,
+    Y(q) = (W/y_0^2)(t(q)) * ((q/t(q)) dt/dq)^3 = [W/(y_0^2 dlog_q^3)](t(q)),
 
 which carries the Lambert expansion
 
@@ -64,14 +64,11 @@ def yukawa_q(w_t: RationalSeries, y0: RationalSeries, mm: MirrorMap,
              order: int) -> RationalSeries:
     """Transport W to the canonical coordinate.
 
-    Combines substitution t = t(q) with the cube of the logarithmic
-    Jacobian factor (q/t) dt/dq.
+    (q/t) dt/dq = 1/delta(log q) at t = t(q), so the whole transform is the
+    single composition Y(q) = [W / (y_0^2 dlog_q^3)](t(q)).
     """
-    t_of_q = mm.t_of_q.truncate(order + 1)
-    normalized = (w_t * y0.invert().pow_int(2)).truncate(order)
-    pulled = normalized.compose(t_of_q)
-    jac = t_of_q.shift(-1).invert() * t_of_q.derivative()
-    return (pulled * jac.pow_int(3)).truncate(order)
+    integrand = w_t * (y0.pow_int(2) * mm.dlog_q.pow_int(3)).invert()
+    return integrand.truncate(order).compose(mm.t_of_q.truncate(order + 1))
 
 
 @dataclass(frozen=True)

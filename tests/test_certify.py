@@ -1,5 +1,6 @@
 """Integrality certificates: Dwork, KSV, gauge system, and the report."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,23 @@ class TestReport:
         for p in sorted(set(report.q_support) | set(report.instanton_support)):
             want_n *= p
         assert report.n_observed == want_n
+
+    def test_unverified_witness_is_not_a_pass(self):
+        result = run_pipeline(fixture_operator("quintic"), 16, max_degree=4)
+        report = n_integrality_report(
+            operator_name="quintic", rank=4, order=16,
+            mm=result.mm, y_q=result.yukawa.y_q,
+            instantons=result.instantons, primes=(7,))
+        entry = report.certificates[0]
+        assert entry.all_pass
+        tampered = (
+            replace(entry, dwork=replace(entry.dwork, witness_verified=False)),
+            replace(entry, ksv=replace(entry.ksv, witness_verified=False)),
+            replace(entry, gauge=replace(entry.gauge, relations_verified=False)),
+        )
+        for t in tampered:
+            assert t.dwork.verdict and t.ksv.verdict and t.gauge.verdict
+            assert not t.all_pass
 
     def test_synthetic_bad_instanton_flagged(self):
         order = 12

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mirrorint import hypergeometric_doc
+from mirrorint import cli, hypergeometric_doc, picard_fuchs
 from mirrorint.cli import main
 
 
@@ -111,6 +111,31 @@ class TestExitCodes:
         code, out, err = run_cli("mirror-map", "--fixture", "quintic",
                                  "--order", "8", "--format", "csv")
         assert code == 2
+
+
+class TestBasisCheck:
+    def test_planted_jet_fails_solve(self, monkeypatch):
+        real = picard_fuchs._indicial_power_jet
+
+        def planted(m, r):
+            jet = real(m, r)
+            if m == 3:
+                jet[1] += 1
+            return jet
+
+        monkeypatch.setattr(picard_fuchs, "_indicial_power_jet", planted)
+        code, out, err = run_cli("solve", "--fixture", "quintic", "--order", "8")
+        assert code == 2
+        assert "L(y_" in err
+        assert out == ""
+
+    def test_solve_builds_no_mirror_map(self, monkeypatch):
+        def refuse(basis):
+            raise AssertionError("solve prints no mirror map")
+
+        monkeypatch.setattr(cli, "mirror_map", refuse)
+        code, out, err = run_cli("solve", "--fixture", "quintic", "--order", "8")
+        assert code == 0, err
 
 
 class TestOutputs:

@@ -101,7 +101,6 @@ class TestReduceSeries:
         got = reduce_series(S([1, 7], order=2), 7, 2)
         assert got.residues == (1, 7)
         assert got.precision == 2 and got.modulus == 49
-        assert got.exact_lift
 
     def test_negative_valuation_flagged(self):
         with pytest.raises(NegativeValuation) as ei:
@@ -113,24 +112,6 @@ class TestReduceSeries:
     def test_unit_denominator_inverted(self):
         got = reduce_series(S([1, F(1, 3)], order=2), 7, 1)
         assert got.residues == (1, 5)
-
-    def test_reduction_commutes_with_arithmetic(self):
-        rng = random.Random(992)
-        for _ in range(300):
-            p = rng.choice([3, 5, 7])
-            k = rng.randint(1, 4)
-            n = rng.randint(2, 6)
-            a = S([rng.randint(-50, 50) for _ in range(n)], order=n)
-            b = S([rng.randint(-50, 50) for _ in range(n)], order=n)
-            ra, rb = reduce_series(a, p, k), reduce_series(b, p, k)
-            assert reduce_series(a + b, p, k).residues == (ra + rb).residues
-            assert reduce_series(a * b, p, k).residues == (ra * rb).residues
-
-    def test_prime_mismatch_rejected(self):
-        a = reduce_series(S([1], order=1), 3, 2)
-        b = reduce_series(S([1], order=1), 5, 2)
-        with pytest.raises(ValueError):
-            a + b
 
 
 def test_valuation_axioms_property_suite():
