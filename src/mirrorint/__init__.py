@@ -13,9 +13,8 @@ from .certify import (DworkCertificate, FailureLocus, GaugeCertificate,
                       denominator_support, dwork_certify, gauge_certify,
                       ksv_certify, n_integrality_report)
 from .fixtures import FIXTURES, fixture_names, fixture_operator, hypergeometric_doc
-from .padic import (INF, NegativeValuation, NotPrime, PadicSeries, PadicValuation,
-                    frobenius_substitute, is_prime, primes_up_to, reduce_series,
-                    valuation)
+from .padic import (INF, NotPrime, PadicValuation, frobenius_substitute, is_prime,
+                    primes_up_to, valuation)
 from .picard_fuchs import (MalformedSpec, MirrorMap, MonodromyMatrix, NotMUM,
                            PFOperator, RankCheckFailed, SolutionBasis,
                            frobenius_solutions, load_operator, load_operator_json,
@@ -34,9 +33,9 @@ __all__ = [
     "CompositionValuation", "DworkCertificate", "ExpConstantTerm", "FIXTURES",
     "FailureLocus", "GaugeCertificate", "InstantonSeries", "InsufficientOrder",
     "IntegralityReport", "KSVCertificate", "LogConstantTerm", "LogSeries",
-    "MalformedSpec", "MirrorMap", "MonodromyMatrix", "NegativeValuation",
+    "MalformedSpec", "MirrorMap", "MonodromyMatrix",
     "NonIntegrableRHS", "NotMUM", "NotPrime", "NotRankFour", "OrderMismatch",
-    "PFOperator", "PadicSeries", "PadicValuation", "PipelineResult",
+    "PFOperator", "PadicValuation", "PipelineResult",
     "RankCheckFailed", "RationalSeries", "ReversionValuation", "SeriesError",
     "SolutionBasis", "YukawaData", "ZeroLeadingCoefficient",
     "denominator_support", "dwork_certify", "exp_series",
@@ -44,7 +43,7 @@ __all__ = [
     "frobenius_substitute", "gauge_certify", "hypergeometric_doc",
     "INF", "instanton_extract", "is_prime", "ksv_certify", "lambert_expand",
     "load_operator", "load_operator_json", "log_series", "mirror_map",
-    "monodromy_matrix", "n_integrality_report", "primes_up_to", "reduce_series",
+    "monodromy_matrix", "n_integrality_report", "primes_up_to",
     "residual", "run_pipeline", "valuation",
     "yukawa_q", "yukawa_t",
 ]

@@ -3,10 +3,12 @@
 Three checks, one prime at a time, all decided by exact arithmetic on the
 first `order` coefficients.
 
-Dwork: with u = q/t (a unit), form v = u(t^p)/u(t)^p - 1.  The unit u lies
-in Z_p[[t]]* exactly when every coefficient of v has v_p >= 1; the witness
-h = (1/p) log(1 + v) then has p-integral coefficients and satisfies
-exp(p h) u(t)^p = u(t^p), which is re-verified term by term.
+Dwork: the unit u = q/t has log u = L = g_1/g_0, which the mirror map holds
+as the delta-antiderivative of dlog_q - 1.  The witness is
+h = (L(t^p) - p L)/p = (1/p) log(u(t^p)/u(t)^p), and e = exp(p h) = 1 + v.
+The unit u lies in Z_p[[t]]* exactly when every coefficient of v has
+v_p >= 1, and then h is p-integral.  The identity e u(t)^p = u(t^p) ties
+dlog_q back to q(t) and is re-verified term by term.
 
 KSV (Kontsevich-Schwarz-Vologodsky): let b_m be the q^m coefficient of
 Y(q) - Y(q^p).  The criterion requires v_p(b_m) >= 3 v_p(m) for all m,
@@ -34,9 +36,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .padic import _check_prime, _vp, _vp_int, frobenius_substitute, primes_up_to
+from .padic import _check_prime, _vp, frobenius_substitute, primes_up_to
 from .picard_fuchs import MirrorMap
-from .series import RationalSeries, log_series, exp_series
+from .series import RationalSeries, exp_series
 from .yukawa import InstantonSeries
 
 
@@ -98,16 +100,13 @@ class OrderMismatch(ValueError):
     """Certificate inputs were computed at incompatible truncation orders."""
 
 
-def _first_violation(f: RationalSeries, p: int, threshold,
-                     start: int = 1) -> Optional[FailureLocus]:
-    """First index m >= start with v_p(coefficient) < threshold(m)."""
-    for m in range(start, f.order):
-        c = f.coeff(m)
-        if not c:
-            continue
-        v = _vp(c, p)
-        if v < threshold(m):
-            return FailureLocus(index=m, valuation=v)
+def _first_violation(f: RationalSeries, p: int, floor: int) -> Optional[FailureLocus]:
+    """First index m with v_p(coefficient of t^m) < floor."""
+    for i, c in enumerate(f.coeffs):
+        if c:
+            v = _vp(c, p)
+            if v < floor:
+                return FailureLocus(index=f.val + i, valuation=v)
     return None
 
 
@@ -115,16 +114,18 @@ def dwork_certify(mm: MirrorMap, p: int, order: int) -> DworkCertificate:
     """Check u = q/t against the Dwork congruence u(t^p) = u(t)^p mod p."""
     _check_prime(p)
     u = mm.unit_part.truncate(order)
-    if u.order < order:
+    log_u = (mm.dlog_q - 1).delta_antiderivative().truncate(order)
+    have = min(u.order, log_u.order)
+    if have < order:
         raise OrderMismatch(
-            f"mirror map order {u.order} below requested order {order}")
-    u_frob = frobenius_substitute(u, p, max_order=order)
-    u_pow = u.pow_int(p)
-    v = u_frob * u_pow.invert() - 1
-    failure = _first_violation(v, p, lambda m: 1)
-    witness = log_series(1 + v) * Fraction(1, p)
-    verified = (exp_series(witness * p) * u_pow).agrees_with(u_frob)
-    return DworkCertificate(prime=p, order=v.order, witness=witness,
+            f"mirror map order {have} below requested order {order}")
+    p_h = frobenius_substitute(log_u, p, max_order=order) - p * log_u
+    witness = p_h * Fraction(1, p)
+    e = exp_series(p_h)
+    failure = _first_violation(e - 1, p, 1)
+    verified = (e * u.pow_int(p)).agrees_with(
+        frobenius_substitute(u, p, max_order=order))
+    return DworkCertificate(prime=p, order=e.order, witness=witness,
                             verdict=failure is None, failure=failure,
                             witness_verified=verified)
 
@@ -141,16 +142,8 @@ def ksv_certify(y_q: RationalSeries, p: int, order: int) -> KSVCertificate:
     """Check v_p(b_m) >= 3 v_p(m) for b = Y(q) - Y(q^p)."""
     _check_prime(p)
     b = _frobenius_difference(y_q, p, order)
-    failure = None
-    for m in range(1, b.order):
-        c = b.coeff(m)
-        if not c:
-            continue
-        if _vp(c, p) < 3 * _vp_int(m, p):
-            psi_val = _vp(Fraction(c, m ** 3), p)
-            failure = FailureLocus(index=m, valuation=psi_val)
-            break
     psi = b.delta_antiderivative().delta_antiderivative().delta_antiderivative()
+    failure = _first_violation(psi, p, 0)
     verified = psi.delta().delta().delta().agrees_with(b)
     return KSVCertificate(prime=p, order=b.order, witness=psi,
                           verdict=failure is None, failure=failure,
@@ -167,7 +160,7 @@ def gauge_certify(y_q: RationalSeries, p: int, order: int) -> GaugeCertificate:
     checks = []
     first = None
     for name, s in (("m13", m13), ("m23", m23), ("m14", m14)):
-        loc = _first_violation(s, p, lambda m: 0)
+        loc = _first_violation(s, p, 0)
         checks.append(SeriesVerdict(name=name, passed=loc is None, failure=loc))
         if loc is not None and first is None:
             first = loc

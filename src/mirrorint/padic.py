@@ -1,10 +1,9 @@
-"""p-adic valuations and mod p^k reductions of rational series.
+"""p-adic valuations and the Frobenius substitution t -> t^p on rational series.
 
 The valuation v_p on Q is normalized by v_p(p) = 1, v_p(0) = +infinity.
-A rational x is a p-adic integer exactly when v_p(x) >= 0; reduce_series
-turns a series with p-integral coefficients into residues mod p^k and
-reports the first offending index otherwise.  That failure signal is what
-the integrality certificates consume.
+A rational x is a p-adic integer exactly when v_p(x) >= 0.  The
+certificates read coefficient valuations through _vp and compare a series
+with its Frobenius image f(t^p); both are exact on Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -13,24 +12,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import RationalSeries, SeriesError
+from .series import RationalSeries
 
 INF = math.inf
 
 
 class NotPrime(ValueError):
     """The modulus handed to a p-adic routine is not prime."""
-
-
-class NegativeValuation(ValueError):
-    """A coefficient fails p-integrality; carries where and how badly."""
-
-    def __init__(self, prime: int, index: int, valuation: int):
-        super().__init__(
-            f"coefficient of t^{index} has {prime}-adic valuation {valuation}")
-        self.prime = prime
-        self.index = index
-        self.valuation = valuation
 
 
 def is_prime(n: int) -> bool:
@@ -127,42 +115,3 @@ def frobenius_substitute(f: RationalSeries, p: int,
             break
         cs[m] = c
     return RationalSeries.from_coeffs(cs, order=order, valuation=p * f.val)
-
-
-@dataclass(frozen=True)
-class PadicSeries:
-    """Series reduced mod p^k: residues for exponents 0..order-1."""
-
-    prime: int
-    precision: int
-    residues: tuple[int, ...]
-    order: int
-
-    @property
-    def modulus(self) -> int:
-        return self.prime ** self.precision
-
-
-def reduce_series(f: RationalSeries, p: int, k: int = 20) -> PadicSeries:
-    """Residues of f mod p^k; raises NegativeValuation at the first
-    coefficient that is not a p-adic integer.
-
-    The default precision comfortably exceeds any valuation arising at
-    order <= 256 for the primes this package certifies."""
-    _check_prime(p)
-    if k < 1:
-        raise ValueError("precision exponent must be >= 1")
-    mod = p ** k
-    res = [0] * f.order
-    for i, c in enumerate(f.coeffs):
-        m = f.val + i
-        if m >= f.order:
-            break
-        if not c:
-            continue
-        v = _vp(c, p)
-        if v < 0:
-            raise NegativeValuation(p, m, v)
-        den = c.denominator
-        res[m] = c.numerator * pow(den, -1, mod) % mod if den != 1 else c.numerator % mod
-    return PadicSeries(p, k, tuple(res), f.order)

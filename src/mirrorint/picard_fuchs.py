@@ -43,8 +43,8 @@ class NotMUM(ValueError):
 
 
 class RankCheckFailed(ValueError):
-    """The Frobenius basis is not a normalized solution basis: some L(y_k)
-    is nonzero below the truncation order, or g_1/g_0 has a constant term."""
+    """The Frobenius basis is not a solution basis: some L(y_k) is nonzero
+    below the truncation order."""
 
 
 def _parse_int(x, where: str) -> int:
@@ -321,8 +321,6 @@ def mirror_map(basis: SolutionBasis) -> MirrorMap:
     """q(t) in the gauge q'(0) = 1, from the first two Frobenius solutions."""
     g0, g1 = basis.gs[0], basis.gs[1]
     ratio = g1 * g0.invert()
-    if ratio.val < 1 and not ratio.is_zero():
-        raise RankCheckFailed("g_1/g_0 has a constant term; basis is not normalized")
     q = exp_series(ratio).shift(1)
     return MirrorMap(
         q_of_t=q,

@@ -352,14 +352,6 @@ class RationalSeries:
         cs = [c / (self.val + i) for i, c in enumerate(self.coeffs)]
         return RationalSeries._make(self.val, cs, self.order)
 
-    def derivative(self) -> "RationalSeries":
-        """d/dt; one guaranteed coefficient is lost."""
-        cs = [(self.val + i) * c for i, c in enumerate(self.coeffs)]
-        base = self.val - 1 if self.val else 0
-        if self.val == 0:
-            cs = cs[1:]
-        return RationalSeries._make(base, cs, max(self.order - 1, 0))
-
     def shift(self, k: int) -> "RationalSeries":
         """Multiply by t^k (k may be negative down to -val)."""
         if self.is_zero():
@@ -477,13 +469,6 @@ class LogSeries:
                 term = term + (j + 1) * self.parts[j + 1]
             out.append(term)
         return LogSeries(out)
-
-    def dlog_partial(self) -> "LogSeries":
-        """Formal partial derivative with respect to log t."""
-        if len(self.parts) == 1:
-            return LogSeries([RationalSeries.zero(self.parts[0].order)])
-        return LogSeries([(j + 1) * self.parts[j + 1]
-                          for j in range(len(self.parts) - 1)])
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)

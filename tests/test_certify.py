@@ -76,6 +76,21 @@ class TestDwork:
         with pytest.raises(OrderMismatch):
             dwork_certify(mm_from_q(q), 2, 10)
 
+    def test_tampered_dlog_q_fails_reverification(self):
+        # the witness is built from dlog_q and re-verified against q(t)
+        result = run_pipeline(fixture_operator("quintic"), 20, max_degree=4)
+        bad = replace(result.mm,
+                      dlog_q=result.mm.dlog_q + RationalSeries.monomial(1, 3, 20))
+        for mm, ok in ((result.mm, True), (bad, False)):
+            report = n_integrality_report(
+                operator_name="quintic", rank=4, order=20, mm=mm,
+                y_q=result.yukawa.y_q, instantons=result.instantons,
+                primes=(7, 11, 13))
+            for entry in report.certificates:
+                assert entry.dwork.witness_verified is ok
+                assert entry.all_pass is ok
+            assert report.consistent is ok
+
 
 class TestKSV:
     def test_constant_passes_with_zero_witness(self):

@@ -1,4 +1,4 @@
-"""p-adic valuations, Frobenius substitution, and mod p^k reductions."""
+"""p-adic valuations and Frobenius substitution."""
 
 import random
 from fractions import Fraction
@@ -7,13 +7,11 @@ import pytest
 
 from mirrorint import (
     INF,
-    NegativeValuation,
     NotPrime,
     RationalSeries,
     frobenius_substitute,
     is_prime,
     primes_up_to,
-    reduce_series,
     valuation,
 )
 
@@ -94,24 +92,6 @@ class TestFrobeniusSubstitute:
             fa, fb = frobenius_substitute(a, p), frobenius_substitute(b, p)
             assert frobenius_substitute(a + b, p) == fa + fb
             assert frobenius_substitute(a * b, p) == fa * fb
-
-
-class TestReduceSeries:
-    def test_plain_integers(self):
-        got = reduce_series(S([1, 7], order=2), 7, 2)
-        assert got.residues == (1, 7)
-        assert got.precision == 2 and got.modulus == 49
-
-    def test_negative_valuation_flagged(self):
-        with pytest.raises(NegativeValuation) as ei:
-            reduce_series(S([1, F(1, 7)], order=2), 7, 2)
-        assert ei.value.index == 1
-        assert ei.value.prime == 7
-        assert ei.value.valuation == -1
-
-    def test_unit_denominator_inverted(self):
-        got = reduce_series(S([1, F(1, 3)], order=2), 7, 1)
-        assert got.residues == (1, 5)
 
 
 def test_valuation_axioms_property_suite():

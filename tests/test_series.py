@@ -211,12 +211,6 @@ class TestDelta:
         with pytest.raises(SeriesError):
             S([1, 1], order=3).delta_antiderivative()
 
-    def test_derivative_drops_one_order(self):
-        f = S([4, 3, 2, 1], order=4)
-        d = f.derivative()
-        assert d.order == 3
-        assert d == S([3, 4, 3], order=3)
-
 
 class TestLogSeries:
     def test_delta_of_plain_log(self):
@@ -246,13 +240,6 @@ class TestLogSeries:
         assert tot.part(0) == S([1, 1], order=3)
         assert tot.part(1) == S([2], order=3)
         assert a.scale(F(1, 2)).part(1) == S([1], order=3)
-
-    def test_dlog_partial(self):
-        # d/dL on f0 + f1 L + f2 L^2 gives f1 + 2 f2 L
-        f0, f1, f2 = S([1], order=3), S([2], order=3), S([3], order=3)
-        got = LogSeries((f0, f1, f2)).dlog_partial()
-        assert got.part(0) == f1
-        assert got.part(1) == f2 * 2
 
 
 class TestPrecisionTracking:
