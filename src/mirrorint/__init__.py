@@ -23,9 +23,8 @@ from .pipeline import PipelineResult, run_pipeline
 from .series import (CompositionValuation, ExpConstantTerm, LogConstantTerm,
                      LogSeries, RationalSeries, ReversionValuation, SeriesError,
                      ZeroLeadingCoefficient, exp_series, log_series)
-from .yukawa import (InstantonSeries, InsufficientOrder, NonIntegrableRHS,
-                     NotRankFour, YukawaData, instanton_extract, lambert_expand,
-                     yukawa_q, yukawa_t)
+from .yukawa import (InstantonSeries, InsufficientOrder, NotRankFour, YukawaData,
+                     instanton_extract, lambert_expand, yukawa_q, yukawa_t)
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,7 @@ __all__ = [
     "FailureLocus", "GaugeCertificate", "InstantonSeries", "InsufficientOrder",
     "IntegralityReport", "KSVCertificate", "LogConstantTerm", "LogSeries",
     "MalformedSpec", "MirrorMap", "MonodromyMatrix",
-    "NonIntegrableRHS", "NotMUM", "NotPrime", "NotRankFour", "OrderMismatch",
+    "NotMUM", "NotPrime", "NotRankFour", "OrderMismatch",
     "PFOperator", "PadicValuation", "PipelineResult",
     "RankCheckFailed", "RationalSeries", "ReversionValuation", "SeriesError",
     "SolutionBasis", "YukawaData", "ZeroLeadingCoefficient",

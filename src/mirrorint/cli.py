@@ -297,13 +297,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         op = _load(cfg)
         _check_prime_bound(cfg, op)
         output, code = _COMMANDS[cfg.command](cfg, op)
+        if cfg.out is not None:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
     except Exception as e:  # noqa: BLE001 - map every failure to exit code 2
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    else:
+    if cfg.out is None:
         sys.stdout.write(output)
     return code
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 from .picard_fuchs import PFOperator, load_operator
 
 
-def hypergeometric_doc(name: str, scale: int, factors, n0: int | None = None,
-                       declared_n: int | None = None) -> dict:
+def hypergeometric_doc(name: str, scale: int, factors, n0: int | None = None) -> dict:
     """Operator description for delta^r - scale * t * prod(d*delta + n)."""
     poly = [1]
     for d, n in factors:
@@ -30,14 +29,12 @@ def hypergeometric_doc(name: str, scale: int, factors, n0: int | None = None,
     doc = {"name": name, "rank": rank, "delta_coefficients": coeffs}
     if n0 is not None:
         doc["n0"] = n0
-    if declared_n is not None:
-        doc["N"] = declared_n
     return doc
 
 
 FIXTURES: dict[str, dict] = {
     "quintic": hypergeometric_doc(
-        "quintic", 5, [(5, 1), (5, 2), (5, 3), (5, 4)], n0=5, declared_n=30),
+        "quintic", 5, [(5, 1), (5, 2), (5, 3), (5, 4)], n0=5),
     "x2222": hypergeometric_doc(
         "x2222", 16, [(2, 1), (2, 1), (2, 1), (2, 1)], n0=16),
 }

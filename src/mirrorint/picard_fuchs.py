@@ -12,10 +12,13 @@ with g_0(0) = 1 and g_k(0) = 0 for k >= 1.  The g_k come from a single
 recursion over jets in the auxiliary exponent rho: writing the candidate
 solution t^rho sum_m A_m(rho) t^m, applying L and matching powers of t gives
 
-    A_m(rho) (m+rho)^r = - sum_{s>=1} A_{m-s}(rho) P_s(m-s+rho),
+    A_m(rho) P_0(m+rho) = - sum_{s>=1} A_{m-s}(rho) P_s(m-s+rho),
 
-where P_s(x) = sum_i a_{i,s} x^i collects the t^s parts of the a_i.  All
-arithmetic happens in Q[rho]/rho^r, and g_k is the rho^k component.
+where P_s(x) = sum_i a_{i,s} x^i collects the t^s parts of the a_i; the
+MUM normalization makes P_0(x) = x^r.  All arithmetic happens in
+Q[rho]/rho^r, which is truncated power series arithmetic in rho, so the
+jets are multiplied and inverted with the series kernel; g_k is the rho^k
+component.
 
 The canonical coordinate in the q'(0) = 1 gauge is q = t exp(g_1/g_0);
 its compositional inverse t(q) feeds the Yukawa coupling in q.
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import LogSeries, RationalSeries, exp_series
+from .series import LogSeries, RationalSeries, _inv_raw, _mul_raw, exp_series
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -68,7 +71,6 @@ class PFOperator:
     rank: int
     coeffs: tuple[tuple[int, ...], ...]
     n0: int | None = None
-    declared_n: int | None = None
 
     def __post_init__(self):
         if self.rank < 2:
@@ -122,9 +124,9 @@ def load_operator(doc: dict) -> PFOperator:
             raise MalformedSpec(f"a_{i} must be a nonempty list")
         coeffs.append(tuple(_parse_int(c, f"a_{i}[{j}]") for j, c in enumerate(poly)))
     n0 = _parse_int(doc["n0"], "n0") if "n0" in doc else None
-    declared_n = _parse_int(doc["N"], "N") if "N" in doc else None
-    return PFOperator(name=name, rank=rank, coeffs=tuple(coeffs),
-                      n0=n0, declared_n=declared_n)
+    if "N" in doc:
+        _parse_int(doc["N"], "N")  # validated, otherwise unused
+    return PFOperator(name=name, rank=rank, coeffs=tuple(coeffs), n0=n0)
 
 
 def load_operator_json(text: str) -> PFOperator:
@@ -135,55 +137,12 @@ def load_operator_json(text: str) -> PFOperator:
     return load_operator(doc)
 
 
-# ---------------------------------------------------------------------------
-# jets in Q[rho]/rho^r
-# ---------------------------------------------------------------------------
-
-def _jet_mul(a: list[Fraction], b: list[Fraction], r: int) -> list[Fraction]:
-    out = [_ZERO] * r
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(r - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _jet_mul_linear(a: list[Fraction], c: Fraction, r: int) -> list[Fraction]:
-    # a * (c + rho)
-    out = [a[k] * c for k in range(r)]
-    for k in range(1, r):
-        out[k] += a[k - 1]
-    return out
-
-
-def _jet_inv(a: list[Fraction], r: int) -> list[Fraction]:
-    inv0 = _ONE / a[0]
-    out = [_ZERO] * r
-    out[0] = inv0
-    for k in range(1, r):
-        acc = _ZERO
-        for i in range(1, k + 1):
-            if a[i]:
-                acc += a[i] * out[k - i]
-        out[k] = -inv0 * acc
-    return out
-
-
-def _indicial_power_jet(m: int, r: int) -> list[Fraction]:
-    # (m + rho)^r truncated at rho^r
-    return [Fraction(math.comb(r, j) * m ** (r - j)) for j in range(r)]
-
-
-def _eval_poly_jet(poly: tuple[int, ...], x0: int, r: int) -> list[Fraction]:
-    # P(x0 + rho) by Horner, P given by coefficients of x^0..x^deg
-    acc = [_ZERO] * r
-    for c in reversed(poly):
-        acc = _jet_mul_linear(acc, Fraction(x0), r)
-        acc[0] += c
-    return acc
+def _taylor_shift(poly: tuple[int, ...], x0: int, r: int) -> list[Fraction]:
+    # P(x0 + rho) in Q[rho]/rho^r: the rho^k coefficient is
+    # sum_i a_i C(i, k) x0^(i-k)
+    return [Fraction(sum(poly[i] * math.comb(i, k) * x0 ** (i - k)
+                         for i in range(k, len(poly))))
+            for k in range(r)]
 
 
 @dataclass(frozen=True)
@@ -219,25 +178,17 @@ def frobenius_solutions(op: PFOperator, order: int) -> SolutionBasis:
         raise ValueError(f"order must be >= 2, got {order}")
     r = op.rank
     sdeg = op.t_degree
-    # per-shift polynomials P_s(x) = sum_i a_{i,s} x^i, s = 1..sdeg
-    shift_polys: list[tuple[int, ...] | None] = []
-    for s in range(1, sdeg + 1):
-        poly = tuple(op.coeffs[i][s] if s < len(op.coeffs[i]) else 0
-                     for i in range(r + 1))
-        shift_polys.append(poly if any(poly) else None)
-
+    # P_s(x) = sum_i a_{i,s} x^i for s = 0..sdeg; P_0 = x^r by validation
+    polys = [tuple(c[s] if s < len(c) else 0 for c in op.coeffs)
+             for s in range(sdeg + 1)]
     jets: list[list[Fraction]] = [[_ONE] + [_ZERO] * (r - 1)]
     for m in range(1, order):
         rhs = [_ZERO] * r
         for s in range(1, min(m, sdeg) + 1):
-            poly = shift_polys[s - 1]
-            if poly is None:
-                continue
-            term = _jet_mul(jets[m - s], _eval_poly_jet(poly, m - s, r), r)
-            for k in range(r):
-                rhs[k] += term[k]
-        inv = _jet_inv(_indicial_power_jet(m, r), r)
-        jets.append([-c for c in _jet_mul(rhs, inv, r)])
+            term = _mul_raw(jets[m - s], _taylor_shift(polys[s], m - s, r), r)
+            rhs = [a - b for a, b in zip(rhs, term)]
+        inv = _inv_raw(_taylor_shift(polys[0], m, r), r)
+        jets.append(_mul_raw(rhs, inv, r))
 
     gs = tuple(
         RationalSeries.from_coeffs([jets[m][k] for m in range(order)], order=order)

@@ -13,9 +13,9 @@ which carries the Lambert expansion
 
 whose coefficients n_d are the instanton numbers.  Expanding the geometric
 series, the q^m coefficient of Y is c_m = sum_{d | m} n_d d^3 for m >= 1,
-so Moebius inversion over the divisor lattice recovers n_m exactly:
+so n_m is recovered exactly from the bottom up:
 
-    n_m = (1/m^3) sum_{d | m} mu(m/d) c_d.
+    n_m = (c_m - sum_{d | m, d < m} n_d d^3) / m^3.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ class NotRankFour(ValueError):
     """The coupling normalization here is specific to rank 4."""
 
 
-class NonIntegrableRHS(ValueError):
-    """delta(log W) has a constant term, so log W would need a log t part."""
-
-
 class InsufficientOrder(ValueError):
     """Asked for instanton numbers beyond the computed truncation."""
 
@@ -52,9 +48,6 @@ def yukawa_t(op: PFOperator, n0, order: int) -> RationalSeries:
     a3 = op.coeff_series(3, order + op.t_degree + 1)
     a4 = op.coeff_series(4, order + op.t_degree + 1)
     rhs = (a3 * a4.invert() * Fraction(-1, 2)).truncate(order)
-    if rhs.val == 0 and not rhs.is_zero():
-        raise NonIntegrableRHS(
-            f"delta(log W) has constant term {rhs.constant_term()}")
     if n0 == 0:
         return RationalSeries.zero(order)
     return exp_series(rhs.delta_antiderivative()) * n0
@@ -101,24 +94,6 @@ class InstantonSeries:
         return self.numbers[d]
 
 
-def _mobius_table(n: int) -> list[int]:
-    # mu(1..n) by a sieve over smallest prime factors
-    mu = [1] * (n + 1)
-    primes = []
-    spf = [0] * (n + 1)
-    for m in range(2, n + 1):
-        if spf[m] == 0:
-            spf[m] = m
-            primes.append(m)
-            mu[m] = -1
-        for p in primes:
-            if p > spf[m] or m * p > n:
-                break
-            spf[m * p] = p
-            mu[m * p] = 0 if m % p == 0 else -mu[m]
-    return mu
-
-
 def lambert_expand(numbers, order: int) -> RationalSeries:
     """Series of n_0 + sum_d n_d d^3 q^d/(1-q^d) at the given order."""
     ns = [Fraction(x) for x in numbers]
@@ -136,18 +111,20 @@ def lambert_expand(numbers, order: int) -> RationalSeries:
 
 
 def instanton_extract(y_q: RationalSeries, max_degree: int) -> InstantonSeries:
-    """Moebius inversion of the Lambert expansion, n_d for d <= max_degree."""
+    """Invert the Lambert expansion, n_d for d <= max_degree.
+
+    Sweeping d upwards, c_d has lost every n_e e^3 with e a proper divisor
+    of d by the time it is reached, so it equals n_d d^3; it is then
+    subtracted from the coefficients at the proper multiples of d.
+    """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     if y_q.order <= max_degree:
         raise InsufficientOrder(
             f"coupling order {y_q.order} determines n_d only for d < {y_q.order}")
-    mu = _mobius_table(max_degree)
-    numbers = [y_q.coeff(0)]
-    for m in range(1, max_degree + 1):
-        acc = _ZERO
-        for d in range(1, m + 1):
-            if m % d == 0 and mu[m // d]:
-                acc += mu[m // d] * y_q.coeff(d)
-        numbers.append(acc / m ** 3)
+    cs = y_q.coeff_list(max_degree + 1)
+    for d in range(1, max_degree + 1):
+        for m in range(2 * d, max_degree + 1, d):
+            cs[m] -= cs[d]
+    numbers = [cs[0]] + [cs[m] / m ** 3 for m in range(1, max_degree + 1)]
     return InstantonSeries(numbers=tuple(numbers), source_order=y_q.order)

@@ -3,11 +3,14 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mirrorint
 from mirrorint import cli, hypergeometric_doc, picard_fuchs
 from mirrorint.cli import main
 
@@ -115,15 +118,15 @@ class TestExitCodes:
 
 class TestBasisCheck:
     def test_planted_jet_fails_solve(self, monkeypatch):
-        real = picard_fuchs._indicial_power_jet
+        real = picard_fuchs._taylor_shift
 
-        def planted(m, r):
-            jet = real(m, r)
-            if m == 3:
+        def planted(poly, x0, r):
+            jet = real(poly, x0, r)
+            if x0 == 3:
                 jet[1] += 1
             return jet
 
-        monkeypatch.setattr(picard_fuchs, "_indicial_power_jet", planted)
+        monkeypatch.setattr(picard_fuchs, "_taylor_shift", planted)
         code, out, err = run_cli("solve", "--fixture", "quintic", "--order", "8")
         assert code == 2
         assert "L(y_" in err
@@ -212,6 +215,13 @@ class TestOutputs:
         assert out == ""
         assert json.loads(target.read_text())["monodromy_index"] == 1
 
+    def test_unwritable_out_is_an_error(self, tmp_path):
+        code, out, err = run_cli("solve", "--fixture", "quintic",
+                                 "--order", "4", "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
@@ -231,10 +241,15 @@ class TestDeterminism:
 
 
 def test_module_entry_point_subprocess():
+    # the child does not inherit pytest's pythonpath setting, so hand it the
+    # directory the package was imported from
+    root = str(Path(mirrorint.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mirrorint.cli", "instantons", "--fixture",
          "quintic", "--order", "6", "--max-degree", "2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     rows = doc["instanton_numbers"]

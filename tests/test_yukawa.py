@@ -13,9 +13,9 @@ from mirrorint import (
     InstantonSeries,
     InsufficientOrder,
     MirrorMap,
-    NonIntegrableRHS,
     NotRankFour,
     RationalSeries,
+    SeriesError,
     fixture_operator,
     frobenius_solutions,
     instanton_extract,
@@ -68,15 +68,15 @@ class TestYukawaT:
             yukawa_t(load_operator(doc), 1, 5)
 
     def test_non_integrable_rhs_rejected(self):
-        # a3(0) != 0 cannot pass operator validation, so the guard in
-        # yukawa_t is defensive; exercise it on a hand-built instance
+        # a3(0) != 0 cannot pass operator validation; on a hand-built
+        # instance the constant term of delta(log W) stops the antiderivative
         from mirrorint import PFOperator
         op = object.__new__(PFOperator)
         for field, value in (("name", "skew"), ("rank", 4),
                              ("coeffs", ((0, -1), (0, -1), (0, -1), (1,), (1, -1))),
-                             ("n0", None), ("declared_n", None)):
+                             ("n0", None)):
             object.__setattr__(op, field, value)
-        with pytest.raises(NonIntegrableRHS):
+        with pytest.raises(SeriesError):
             yukawa_t(op, 1, 5)
 
 
