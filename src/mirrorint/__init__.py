@@ -13,8 +13,8 @@ from .certify import (DworkCertificate, FailureLocus, GaugeCertificate,
                       denominator_support, dwork_certify, gauge_certify,
                       ksv_certify, n_integrality_report)
 from .fixtures import FIXTURES, fixture_names, fixture_operator, hypergeometric_doc
-from .padic import (INF, NotPrime, PadicValuation, frobenius_substitute, is_prime,
-                    primes_up_to, valuation)
+from .padic import (INF, NotPrime, PadicValuation, PrimeTooLarge, frobenius_substitute,
+                    is_prime, primes_up_to, valuation)
 from .picard_fuchs import (MalformedSpec, MirrorMap, MonodromyMatrix, NotMUM,
                            PFOperator, RankCheckFailed, SolutionBasis,
                            frobenius_solutions, load_operator, load_operator_json,
@@ -34,7 +34,7 @@ __all__ = [
     "IntegralityReport", "KSVCertificate", "LogConstantTerm", "LogSeries",
     "MalformedSpec", "MirrorMap", "MonodromyMatrix",
     "NotMUM", "NotPrime", "NotRankFour", "OrderMismatch",
-    "PFOperator", "PadicValuation", "PipelineResult",
+    "PFOperator", "PadicValuation", "PipelineResult", "PrimeTooLarge",
     "RankCheckFailed", "RationalSeries", "ReversionValuation", "SeriesError",
     "SolutionBasis", "YukawaData", "ZeroLeadingCoefficient",
     "denominator_support", "dwork_certify", "exp_series",

@@ -21,19 +21,46 @@ class NotPrime(ValueError):
     """The modulus handed to a p-adic routine is not prime."""
 
 
+class PrimeTooLarge(ValueError):
+    """Primality of a candidate beyond the proven Miller-Rabin range."""
+
+
+# Sorenson-Webster (2017): strong probable primes to the 13 bases below are
+# prime for every n < MR_LIMIT.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; intended for the small primes used here."""
+    """Deterministic Miller-Rabin with the first 13 prime bases.
+
+    Proven for n < MR_LIMIT; a larger n without a factor among the bases
+    raises PrimeTooLarge instead of guessing.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # a composite this small has a factor among the bases
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MR_LIMIT:
+        raise PrimeTooLarge(
+            f"primality of {n} is not decided: it is at or above {MR_LIMIT}, "
+            "the limit of the deterministic Miller-Rabin test")
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -21,13 +21,33 @@ The zero series is represented with an empty coefficient list and val set
 equal to order ("no nonzero coefficient below the truncation").  Instances
 are immutable; all arithmetic returns new objects.
 
+compose and reversion have two exact paths with the same results and
+orders.  When the inner series (the series itself, for reversion) is
+t + O(t^2) with integer coefficients, as every mirror map in the
+q'(0) = 1 gauge is, they run multimodularly: the outer series is scaled by
+the common denominator of its coefficients, the work runs modulo the
+largest primes below 2^62 (a series product is one Python int product of
+Kronecker-packed residues; compose is Horner, reversion is Lagrange
+inversion), and each coefficient is rebuilt by CRT in the symmetric range.
+The primes are counted, before any residue is taken, from a majorant bound
+computed exactly over the integers; their product exceeds twice it:
+
+  compose      |outer_k| <= A a^k, |inner_j| <= b^(j-1)   |[t^m]| <= A a (a+b)^(m-1)
+  reversion    q = t u(t), |u_j| <= R^j                    |t_m| <= s_m R^(m-1)
+
+with a, b, R powers of two read off the inputs and s_m the little
+Schroeder numbers.  Every other input runs Horner and Newton over
+Fraction, which are also the reference the tests compare against.
+
 Operators t*d/dt (delta) and log t interact by delta(log t) = 1, which is
 what makes LogSeries closed under delta.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
@@ -111,6 +131,164 @@ def _compose_raw(outer: Sequence[Fraction], inner: Sequence[Fraction], n: int) -
         if c:
             out[0] += c
     return out
+
+
+def _reversion_newton(f: Sequence[Fraction], n: int) -> list[Fraction]:
+    # Newton g <- g - g'(f(g) - q); a step correct modulo q^m is correct
+    # modulo q^(2m-1).  f[0] = 0, f[1] != 0.
+    g = [_ZERO, _ONE / f[1]]
+    m = 2
+    while m < n:
+        m = min(2 * m - 1, n)
+        fg = _compose_raw(f[:m], g + [_ZERO] * (m - len(g)), m)
+        fg[1] -= _ONE
+        dg = [(k + 1) * g[k + 1] for k in range(len(g) - 1)]
+        corr = _mul_raw(dg, fg, m)
+        g = [(g[k] if k < len(g) else _ZERO) - corr[k] for k in range(m)]
+    return g
+
+
+# ---------------------------------------------------------------------------
+# multimodular kernel: integral compose and reversion modulo 62-bit primes
+# ---------------------------------------------------------------------------
+
+_MODULI: list[int] = []  # largest primes below 2^62, descending; grown on first use
+
+
+def _moduli_for(bound: int) -> list[int]:
+    """Shortest prefix of the prime list whose product exceeds 2 * bound."""
+    from .padic import is_prime  # padic imports this module
+    out, prod = [], 1
+    while prod <= 2 * bound:
+        if len(out) == len(_MODULI):
+            c = _MODULI[-1] - 2 if _MODULI else (1 << 62) - 1
+            while not is_prime(c):
+                c -= 2
+            _MODULI.append(c)
+        out.append(_MODULI[len(out)])
+        prod *= out[-1]
+    return out
+
+
+def _rate(cs: Sequence[int], scale: int = 1) -> int:
+    """Least r >= 0 with |cs[j]| <= scale * 2^(r j) for every j >= 1."""
+    r = 0
+    for j in range(1, len(cs)):
+        c = -(-abs(cs[j]) // scale)  # 2^(r j) >= c is what is needed
+        r = max(r, -(-max(c - 1, 0).bit_length() // j))
+    return r
+
+
+def _compose_bound(outer: Sequence[int], inner: Sequence[int], n: int) -> int:
+    """Bound on |[t^m] outer(inner)| for m < n, inner = t + O(t^2), n >= 2.
+
+    With |outer_k| <= A a^k and |inner_j| <= b^(j-1), the composition is
+    majorized by A/(1 - a t/(1 - b t)), whose t^m coefficient is
+    A a (a + b)^(m-1) for m >= 1; outer_k = A a^k, inner = t/(1 - b t)
+    attain it.
+    """
+    A = max(1, abs(outer[0]))
+    a, b = 1 << _rate(outer, A), 1 << _rate(inner[1:])
+    return A * a * (a + b) ** (n - 2)
+
+
+def _reversion_bound(u: Sequence[int], n: int) -> int:
+    """Bound on |[q^m] t(q)| for m < n, where q = t u(t), u(0) = 1, n >= 2.
+
+    With |u_j| <= R^j, 1/u is majorized by (1 - R t)/(1 - 2 R t), so by
+    Lagrange |t_m| <= s_m R^(m-1), s_m the little Schroeder numbers
+    1, 1, 3, 11, 45, ...; u = 1 - sum_j R^j t^j attains it.
+    """
+    s_prev, s = 1, 1  # s_1, s_2; (m+1) s_(m+1) = 3(2m-1) s_m - (m-2) s_(m-1)
+    for m in range(2, n - 1):
+        s_prev, s = s, (3 * (2 * m - 1) * s - (m - 2) * s_prev) // (m + 1)
+    return s << (_rate(u) * (n - 2))
+
+
+def _slot(n: int) -> int:
+    # bytes per packed slot: a sum of n products of residues below 2^62
+    return (124 + n.bit_length() + 7) // 8
+
+
+def _pack(cs: Sequence[int], width: int) -> int:
+    # Kronecker substitution: residue c_i in bytes [i*width, (i+1)*width)
+    return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(width), repeat("little"))),
+                          "little")
+
+
+def _unpack(x: int, width: int, n: int, p: int) -> list[int]:
+    b, from_bytes = x.to_bytes((x.bit_length() + 7) // 8, "little"), int.from_bytes
+    return [from_bytes(b[i:i + width], "little") % p for i in range(0, n * width, width)]
+
+
+def _compose_mod(outer: Sequence[int], inner: Sequence[int], n: int, p: int) -> list[int]:
+    # Horner; the partial sum at outer_k is later multiplied by inner^k,
+    # so only its first n - k coefficients matter (and those of inner).
+    width = _slot(n)
+    inn = _pack([c % p for c in inner[:n]], width)
+    out: list[int] = []
+    for k in range(len(outer) - 1, -1, -1):
+        keep = n - k
+        head = inn & ((1 << 8 * width * keep) - 1)
+        out = _unpack(_pack(out, width) * head, width, keep, p)
+        out[0] = (out[0] + outer[k]) % p
+    return out
+
+
+def _inv_mod(a: Sequence[int], n: int, p: int, width: int) -> list[int]:
+    # Newton w <- w (2 - a w) for a[0] = 1, doubling the precision each step
+    w, k = [1], 1
+    while k < n:
+        k = min(2 * k, n)
+        e = [-x % p for x in _unpack(_pack(a[:k], width) * _pack(w, width), width, k, p)]
+        e[0] = (e[0] + 2) % p
+        w = _unpack(_pack(w, width) * _pack(e, width), width, k, p)
+    return w
+
+
+def _reversion_mod(u: Sequence[int], n: int, p: int) -> list[int]:
+    # Lagrange: t = q w(t) with w = 1/u, so t_m = [t^(m-1)] w^m / m.
+    width = _slot(n)
+    w = _pack(_inv_mod([c % p for c in u], n - 1, p, width), width)
+    out, power = [0] * n, [1]
+    for m in range(1, n):
+        power = _unpack(_pack(power, width) * w, width, n - 1, p)
+        out[m] = power[m - 1] * pow(m, -1, p) % p
+    return out
+
+
+def _crt(residues: Sequence[Sequence[int]], moduli: Sequence[int]) -> list[int]:
+    """Coefficientwise CRT into the symmetric range (-M/2, M/2)."""
+    M = math.prod(moduli)
+    basis = [M // p * pow(M // p, -1, p) for p in moduli]
+    half = M >> 1
+    out = []
+    for rs in zip(*residues):
+        x = sum(r * e for r, e in zip(rs, basis)) % M
+        out.append(x - M if x > half else x)
+    return out
+
+
+def _is_integral_unit_shift(cs: Sequence[Fraction]) -> bool:
+    # t + O(t^2) with integer coefficients, as a dense list from t^0
+    return (len(cs) > 1 and cs[0] == 0 and cs[1] == 1
+            and all(c.denominator == 1 for c in cs))
+
+
+def _compose_multimodular(outer: Sequence[Fraction], inner: Sequence[Fraction],
+                          n: int) -> list[Fraction]:
+    den = math.lcm(*(c.denominator for c in outer))
+    f = [c.numerator * (den // c.denominator) for c in outer]
+    g = [c.numerator for c in inner]
+    moduli = _moduli_for(_compose_bound(f, g, n))
+    ys = _crt([_compose_mod(f, g, n, p) for p in moduli], moduli)
+    return [Fraction(y, den) for y in ys]
+
+
+def _reversion_multimodular(f: Sequence[Fraction], n: int) -> list[Fraction]:
+    u = [c.numerator for c in f[1:]]
+    moduli = _moduli_for(_reversion_bound(u, n))
+    return [Fraction(x) for x in _crt([_reversion_mod(u, n, p) for p in moduli], moduli)]
 
 
 class RationalSeries:
@@ -314,29 +492,25 @@ class RationalSeries:
             return RationalSeries.zero(order)
         outer = self.coeff_list(min(self.order, order))
         inn = inner.coeff_list(min(inner.order, order))
+        if _is_integral_unit_shift(inn):
+            return RationalSeries._make(0, _compose_multimodular(outer, inn, order), order)
         return RationalSeries._make(0, _compose_raw(outer, inn, order), order)
 
     def reversion(self) -> "RationalSeries":
         """Compositional inverse g with self(g(q)) = q.
 
-        Newton iteration g <- g - g'(f(g) - q); a step correct modulo q^m
-        yields correctness modulo q^(2m-1), so precisions follow that ladder.
+        For self = t + O(t^2) with integer coefficients this is Lagrange
+        inversion modulo each prime, t_m = [t^(m-1)] (t/self)^m / m;
+        otherwise Newton iteration over Fraction.
         """
         if self.val != 1 or not self.coeffs or not self.coeffs[0]:
             raise ReversionValuation(
                 f"reversion needs valuation 1, got valuation {self.val}")
         n = self.order
         f = self.coeff_list(n)
-        g = [_ZERO, _ONE / f[1]]
-        m = 2
-        while m < n:
-            m = min(2 * m - 1, n)
-            fg = _compose_raw(f[:m], g + [_ZERO] * (m - len(g)), m)
-            fg[1] -= _ONE
-            dg = [(k + 1) * g[k + 1] for k in range(len(g) - 1)]
-            corr = _mul_raw(dg, fg, m)
-            g = [(g[k] if k < len(g) else _ZERO) - corr[k] for k in range(m)]
-        return RationalSeries._make(0, g, n)
+        if _is_integral_unit_shift(f):
+            return RationalSeries._make(0, _reversion_multimodular(f, n), n)
+        return RationalSeries._make(0, _reversion_newton(f, n), n)
 
     # -- differential structure ---------------------------------------------
 

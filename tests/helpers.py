@@ -22,6 +22,7 @@ from mirrorint import (
     log_series,
     valuation,
 )
+from mirrorint import series
 from mirrorint.certify import _first_violation
 
 F = Fraction
@@ -179,6 +180,97 @@ def run_precision_soundness(cases: int, seed: int = 20240506) -> int:
             a = rand_val1(rng, hi)
             full, part = a.reversion(), a.truncate(lo).reversion()
         assert full.truncate(part.order) == part
+    return cases
+
+
+def fraction_compose(f: RationalSeries, g: RationalSeries) -> RationalSeries:
+    """Fraction Horner reference for f(g), at compose's documented order."""
+    nu = g.val
+    order = min(nu * f.order, g.order + max(f.val - 1, 0) * nu)
+    cs = series._compose_raw(f.coeff_list(min(f.order, order)),
+                             g.coeff_list(min(g.order, order)), order)
+    return RationalSeries._make(0, cs, order)
+
+
+def fraction_reversion(q: RationalSeries) -> RationalSeries:
+    """Fraction Newton reference for the reversion of q."""
+    return RationalSeries._make(0, series._reversion_newton(q.coeff_list(), q.order), q.order)
+
+
+def rand_int_coeffs(rng, count, bits):
+    """count integers of up to `bits` bits: dense, sparse, all zero or one term."""
+    out = [0] * count
+    style = rng.randrange(4) if count else 2
+    if style == 0:
+        idx = range(count)
+    elif style == 1:
+        idx = rng.sample(range(count), max(1, count // 4))
+    elif style == 2:
+        idx = []
+    else:
+        idx = [rng.randrange(count)]
+    for i in idx:
+        out[i] = rng.randint(-(1 << bits), 1 << bits)
+    return out
+
+
+def extremal_compose_inputs(n, A, ra, rb):
+    """outer_k = A 2^(ra k) and inner = t/(1 - 2^rb t): the composition
+    bound is attained at t^(n-1)."""
+    f = RationalSeries.from_coeffs([A << (ra * k) for k in range(n)], order=n)
+    g = RationalSeries.from_coeffs([1 << (rb * j) for j in range(n - 1)], order=n, valuation=1)
+    return f, g
+
+
+def extremal_reversion_input(n, r):
+    """q = t (1 - sum_j 2^(r j) t^j): the reversion bound is attained at q^(n-1)."""
+    return RationalSeries.from_coeffs([1] + [-(1 << (r * j)) for j in range(1, n - 1)],
+                                      order=n, valuation=1)
+
+
+def run_modular_vs_fraction(cases: int, seed: int = 20240512) -> int:
+    """compose and reversion with an integral inner series t + O(t^2) equal
+    the Fraction Horner and Newton references, coefficients and order.
+
+    Orders 2-40 (mostly below 16), coefficients of up to about 300 bits (the
+    largest only up to order 8), dense, sparse, zero and single-term inputs, rational outer
+    series, and every tenth case the majorant-extremal inputs, whose top
+    coefficient must equal the bound the kernel sizes its primes from.
+    """
+    rng = random.Random(seed)
+    for i in range(cases):
+        bits = rng.choice((2, 8, 32, 64, 300))
+        top = 40 if bits <= 8 else 16 if bits <= 64 else 8
+        n = rng.randint(2, rng.choice((8, 16, top)))
+        extremal = i % 20 < 2
+        if i % 2:
+            if extremal:
+                f, g = extremal_compose_inputs(n, rng.randint(1, 9), rng.randint(0, 8),
+                                               rng.randint(0, 8))
+            else:
+                cs = rand_int_coeffs(rng, rng.randint(2, top), bits)
+                if rng.random() < 0.3:
+                    cs = [F(c, rng.randint(1, 1 << rng.choice((2, 16, 64)))) for c in cs]
+                f = RationalSeries.from_coeffs(cs)
+                g = RationalSeries.from_coeffs([1] + rand_int_coeffs(rng, n - 2, bits),
+                                               order=n, valuation=1)
+            got, want = f.compose(g), fraction_compose(f, g)
+            if extremal:
+                bound = series._compose_bound([int(c) for c in f.coeff_list()],
+                                              [int(c) for c in g.coeff_list()], n)
+                assert got.coeff(n - 1) == bound, (n, f, g)
+        else:
+            if extremal:
+                q = extremal_reversion_input(n, rng.randint(0, 8))
+            else:
+                q = RationalSeries.from_coeffs([1] + rand_int_coeffs(rng, n - 2, bits),
+                                               order=n, valuation=1)
+            got, want = q.reversion(), fraction_reversion(q)
+            if extremal:
+                bound = series._reversion_bound([int(c) for c in q.coeff_list()[1:]], n)
+                assert got.coeff(n - 1) == bound, (n, q)
+        assert got == want, (i, got, want)
+        assert got.order == want.order
     return cases
 
 

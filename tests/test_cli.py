@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,21 @@ class TestExitCodes:
         code, out, err = run_cli("certify", "--fixture", "quintic",
                                  "--primes", "7,abc")
         assert code == 2
+
+    def test_large_prime_certifies_fast(self):
+        start = time.perf_counter()
+        code, out, err = run_cli("certify", "--fixture", "quintic", "--order", "10",
+                                 "--max-degree", "3", "--primes", str(2 ** 61 - 1))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, err
+        assert all(c["verdict"] == "pass" for c in json.loads(out)["certificates"])
+
+    def test_prime_beyond_proven_range_rejected(self):
+        limit = "3317044064679887385961981"
+        code, out, err = run_cli("certify", "--fixture", "quintic", "--order", "10",
+                                 "--max-degree", "3", "--primes", limit)
+        assert code == 2 and out == ""
+        assert "PrimeTooLarge" in err and limit in err
 
     def test_csv_rejected_for_series_commands(self):
         code, out, err = run_cli("mirror-map", "--fixture", "quintic",

@@ -1,5 +1,6 @@
 """p-adic valuations and Frobenius substitution."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,12 +9,15 @@ import pytest
 from mirrorint import (
     INF,
     NotPrime,
+    PrimeTooLarge,
     RationalSeries,
     frobenius_substitute,
     is_prime,
     primes_up_to,
     valuation,
 )
+
+from mirrorint.padic import MR_LIMIT
 
 import helpers
 
@@ -54,6 +58,25 @@ class TestPrimeHelpers:
         hits = [n for n in range(60) if is_prime(n)]
         assert hits == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
                         31, 37, 41, 43, 47, 53, 59]
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert [n for n in range(10 ** 5) if is_prime(n)] == \
+            [n for n in range(10 ** 5) if trial(n)]
+
+    def test_is_prime_rejects_pseudoprimes(self):
+        # strong pseudoprime to bases 2, 3, 5, 7; Carmichael numbers
+        for n in (3215031751, 561, 41041):
+            assert not is_prime(n)
+
+    def test_is_prime_proven_range(self):
+        assert is_prime(2 ** 61 - 1)
+        assert not is_prime(2 ** 61 + 1)
+        assert not is_prime(2 * MR_LIMIT)  # a factor among the bases decides it
+        # MR_LIMIT is itself a strong pseudoprime to all 13 bases
+        with pytest.raises(PrimeTooLarge, match=str(MR_LIMIT)):
+            is_prime(MR_LIMIT)
 
     def test_primes_up_to_matches_membership(self):
         assert primes_up_to(50) == [n for n in range(51) if is_prime(n)]

@@ -1,10 +1,18 @@
-"""Truncated rational power series: pinned values, errors, and the
-randomized algebraic property suites."""
+"""Truncated rational power series: pinned values, errors, the
+multimodular kernel, and the randomized algebraic property suites."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mirrorint
 from mirrorint import (
     CompositionValuation,
     ExpConstantTerm,
@@ -15,8 +23,15 @@ from mirrorint import (
     SeriesError,
     ZeroLeadingCoefficient,
     exp_series,
+    fixture_operator,
+    frobenius_solutions,
+    is_prime,
+    load_operator_json,
     log_series,
+    mirror_map,
+    run_pipeline,
 )
+from mirrorint import series
 
 import helpers
 
@@ -259,6 +274,127 @@ class TestPrecisionTracking:
         up = s.shift(2)
         assert up.val == 2 and up.order == 5
         assert up.shift(-2) == s
+
+
+def _count_paths(monkeypatch):
+    """Count calls of the two multimodular entry points (they still run)."""
+    calls = Counter()
+    for name in ("_compose_multimodular", "_reversion_multimodular"):
+        def counted(*args, _orig=getattr(series, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(series, name, counted)
+    return calls
+
+
+def _ints(s):
+    return [int(c) for c in s.coeff_list()]
+
+
+class TestMultimodularBound:
+    def test_short_prime_list_is_caught(self, monkeypatch):
+        # on the extremal inputs the top coefficient equals the bound, so a
+        # prime list one short of it rebuilds a wrong coefficient
+        f, g = helpers.extremal_compose_inputs(40, 3, 5, 7)
+        q = helpers.extremal_reversion_input(40, 9)
+        want_y, want_t = helpers.fraction_compose(f, g), helpers.fraction_reversion(q)
+        assert f.compose(g) == want_y
+        assert q.reversion() == want_t
+        full = series._moduli_for
+        assert len(full(series._compose_bound(_ints(f), _ints(g), 40))) >= 2
+        assert len(full(series._reversion_bound(_ints(q)[1:], 40))) >= 2
+        monkeypatch.setattr(series, "_moduli_for", lambda bound: full(bound)[:-1])
+        assert f.compose(g) != want_y
+        assert q.reversion() != want_t
+
+    @pytest.mark.parametrize("name", ["quintic", "x2222"])
+    def test_bound_covers_pipeline_series(self, name):
+        order = 60
+        result = run_pipeline(fixture_operator(name), order)
+        mm, y_q = result.mm, result.yukawa.y_q
+        u = _ints(mm.q_of_t)[1:]
+        t_max = max(abs(c.numerator) for c in mm.t_of_q.coeffs)
+        assert series._reversion_bound(u, order) >= t_max
+        # the yukawa_q composition, as yukawa.yukawa_q forms it
+        y0 = result.basis.holomorphic
+        outer = (result.yukawa.w_t
+                 * (y0.pow_int(2) * mm.dlog_q.pow_int(3)).invert()).truncate(order)
+        den = math.lcm(*(c.denominator for c in outer.coeffs))
+        y_max = max(abs(int(c * den)) for c in y_q.coeffs)
+        bound = series._compose_bound([int(c * den) for c in outer.coeff_list()],
+                                      _ints(mm.t_of_q.truncate(order + 1)), order)
+        assert bound >= y_max
+
+
+# rational-ops operator rand0_0 (perfbench seed 0): q(t) has denominators
+_RAND0_0 = {"name": "rand0_0", "rank": 4, "n0": 1,
+            "delta_coefficients": [[0, 0, 1], [0, -6, -2], [0, 2, 2], [0, 0, -2],
+                                   [1, 1, -1]]}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("inner", [
+        S([1, F(1, 2), 3], order=6, valuation=1),   # non-integral coefficient
+        S([2, 1, 3], order=6, valuation=1),         # leading coefficient 2
+        S([1, 1, 3], order=6, valuation=2),         # valuation 2
+    ])
+    def test_fraction_path_inputs(self, monkeypatch, inner):
+        outer = S([1, 2, 3, 4, 5, 6])
+        calls = _count_paths(monkeypatch)
+        assert outer.compose(inner) == helpers.fraction_compose(outer, inner)
+        if inner.val == 1:
+            assert inner.reversion() == helpers.fraction_reversion(inner)
+        assert not calls
+
+    def test_rational_q_takes_fraction_path(self, monkeypatch):
+        op = load_operator_json(json.dumps(_RAND0_0))
+        q = mirror_map(frobenius_solutions(op, 16)).q_of_t
+        assert any(c.denominator != 1 for c in q.coeffs)
+        calls = _count_paths(monkeypatch)
+        t = q.reversion()
+        assert t == helpers.fraction_reversion(q)
+        assert q.compose(t).agrees_with(RationalSeries.identity(16))
+        assert not calls
+
+    def test_rational_outer_takes_modular_path(self, monkeypatch):
+        outer = S([F(1, 3), F(-5, 7), F(2, 9), 4, F(1, 11)], order=5)
+        inner = S([1, -2, 7, 1], order=5, valuation=1)
+        calls = _count_paths(monkeypatch)
+        assert outer.compose(inner) == helpers.fraction_compose(outer, inner)
+        assert calls == {"_compose_multimodular": 1}
+
+
+class TestModuli:
+    def test_prime_list_is_pinned(self):
+        ps = series._moduli_for(1 << 3000)
+        assert ps[:3] == [4611686018427387847, 4611686018427387817, 4611686018427387787]
+        assert len(set(ps)) == len(ps) >= 49
+        assert all(p.bit_length() == 62 for p in ps)
+        assert ps == sorted(ps, reverse=True)
+        # the largest primes below 2^62: nothing prime is skipped
+        gaps = range(ps[-1] + 1, 1 << 62)
+        assert [c for c in gaps if c not in ps and is_prime(c)] == []
+        assert math.prod(ps) > 2 << 3000
+        assert math.prod(ps[:-1]) <= 2 << 3000
+
+    def test_import_computes_no_prime(self):
+        root = str(Path(mirrorint.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import mirrorint, mirrorint.series as s; print(len(s._MODULI))"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+
+def test_modular_vs_fraction_property_suite(monkeypatch):
+    calls = _count_paths(monkeypatch)
+    assert helpers.run_modular_vs_fraction(1000) >= 1000
+    # every reversion runs the kernel; so does every composition except the
+    # 96 whose outer series is zero, which compose returns directly
+    assert calls == {"_reversion_multimodular": 500, "_compose_multimodular": 404}
 
 
 def test_ring_axioms_property_suite():
