@@ -5,10 +5,10 @@ first `order` coefficients.
 
 Dwork: the unit u = q/t has log u = L = g_1/g_0, which the mirror map holds
 as the delta-antiderivative of dlog_q - 1.  The witness is
-h = (L(t^p) - p L)/p = (1/p) log(u(t^p)/u(t)^p), and e = exp(p h) = 1 + v.
-The unit u lies in Z_p[[t]]* exactly when every coefficient of v has
-v_p >= 1, and then h is p-integral.  The identity e u(t)^p = u(t^p) ties
-dlog_q back to q(t) and is re-verified term by term.
+h = (L(t^p) - p L)/p = (1/p) log(u(t^p)/u(t)^p).  By Dwork's lemma u lies in
+Z_p[[t]]* exactly when h is p-integral; the first coefficient of p h with
+v_p < 1 is also that of exp(p h) - 1, with the same valuation.  The identity
+delta(u) = u delta(L) ties dlog_q to q(t) and is checked once per mirror map.
 
 KSV (Kontsevich-Schwarz-Vologodsky): let b_m be the q^m coefficient of
 Y(q) - Y(q^p).  The criterion requires v_p(b_m) >= 3 v_p(m) for all m,
@@ -38,7 +38,7 @@ from typing import Optional
 
 from .padic import _check_prime, _vp, frobenius_substitute, primes_up_to
 from .picard_fuchs import MirrorMap
-from .series import RationalSeries, exp_series
+from .series import RationalSeries
 from .yukawa import InstantonSeries
 
 
@@ -110,24 +110,27 @@ def _first_violation(f: RationalSeries, p: int, floor: int) -> Optional[FailureL
     return None
 
 
-def dwork_certify(mm: MirrorMap, p: int, order: int) -> DworkCertificate:
-    """Check u = q/t against the Dwork congruence u(t^p) = u(t)^p mod p."""
-    _check_prime(p)
+def _log_unit_verified(mm: MirrorMap, order: int) -> bool:
     u = mm.unit_part.truncate(order)
+    return u.delta().agrees_with(u * (mm.dlog_q - 1))
+
+
+def _dwork(mm: MirrorMap, p: int, order: int, verified: bool) -> DworkCertificate:
     log_u = (mm.dlog_q - 1).delta_antiderivative().truncate(order)
-    have = min(u.order, log_u.order)
+    have = min(mm.unit_part.order, log_u.order)
     if have < order:
         raise OrderMismatch(
             f"mirror map order {have} below requested order {order}")
     p_h = frobenius_substitute(log_u, p, max_order=order) - p * log_u
-    witness = p_h * Fraction(1, p)
-    e = exp_series(p_h)
-    failure = _first_violation(e - 1, p, 1)
-    verified = (e * u.pow_int(p)).agrees_with(
-        frobenius_substitute(u, p, max_order=order))
-    return DworkCertificate(prime=p, order=e.order, witness=witness,
-                            verdict=failure is None, failure=failure,
-                            witness_verified=verified)
+    failure = _first_violation(p_h, p, 1)
+    return DworkCertificate(prime=p, order=p_h.order, witness=p_h * Fraction(1, p),
+                            verdict=failure is None, failure=failure, witness_verified=verified)
+
+
+def dwork_certify(mm: MirrorMap, p: int, order: int) -> DworkCertificate:
+    """Check u = q/t against the Dwork congruence u(t^p) = u(t)^p mod p."""
+    _check_prime(p)
+    return _dwork(mm, p, order, _log_unit_verified(mm, order))
 
 
 def _frobenius_difference(y_q: RationalSeries, p: int, order: int) -> RationalSeries:
@@ -273,7 +276,6 @@ def n_integrality_report(*, operator_name: str, rank: int, order: int,
         candidates = sorted(set(primes))
     tested: list[int] = []
     skipped: list[tuple[int, str]] = []
-    certs: list[PrimeCertificates] = []
     for p in candidates:
         _check_prime(p)
         if p <= rank:
@@ -283,12 +285,10 @@ def n_integrality_report(*, operator_name: str, rank: int, order: int,
             skipped.append((p, f"prime {p} divides the denominator support"))
             continue
         tested.append(p)
-        certs.append(PrimeCertificates(
-            prime=p,
-            dwork=dwork_certify(mm, p, order),
-            ksv=ksv_certify(y_q, p, order),
-            gauge=gauge_certify(y_q, p, order),
-        ))
+    verified = bool(tested) and _log_unit_verified(mm, order)
+    certs = [PrimeCertificates(prime=p, dwork=_dwork(mm, p, order, verified),
+                               ksv=ksv_certify(y_q, p, order),
+                               gauge=gauge_certify(y_q, p, order)) for p in tested]
     return IntegralityReport(
         operator_name=operator_name,
         rank=rank,

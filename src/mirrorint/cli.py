@@ -22,6 +22,7 @@ from .pipeline import run_pipeline
 DEFAULT_ORDER = 64
 DEFAULT_MAX_DEGREE = 16
 DEFAULT_PRIME_BOUND = 50
+MAX_PRIME_BOUND = 10**4
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,10 @@ def _check_prime_bound(cfg: JobConfig, op: PFOperator) -> None:
             raise ValueError(
                 f"prime bound {cfg.prime_bound} leaves no room above rank "
                 f"{op.rank}; need at least {op.rank + 2}")
+        if cfg.prime_bound > MAX_PRIME_BOUND:
+            raise ValueError(
+                f"prime bound {cfg.prime_bound} exceeds the cap {MAX_PRIME_BOUND}; "
+                "name larger primes with --primes")
 
 
 def cmd_solve(cfg: JobConfig, op: PFOperator) -> tuple[str, int]:

@@ -6,9 +6,12 @@ returns the number of cases it actually exercised.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from mirrorint import (
+    DworkCertificate,
+    FailureLocus,
     InstantonSeries,
     MirrorMap,
     RationalSeries,
@@ -306,39 +309,71 @@ def run_mobius_roundtrip(cases: int, seed: int = 20240508) -> int:
     return cases
 
 
-def _check_dwork(u: RationalSeries, p: int, n: int):
-    """Certify u, check the witness against (1/p) log(u(t^p) u^-p) built
-    directly from u, and for odd p check Dwork's lemma: the verdict holds
-    exactly when the witness is p-integral."""
-    cert = dwork_certify(mirror_from_unit(u), p, n)
+def reference_dwork(mm: MirrorMap, p: int, order: int) -> DworkCertificate:
+    """Dwork certificate by the exp path: the verdict is read from
+    exp(p h) - 1 at floor 1, and exp(p h) u^p = u(t^p) is re-verified for
+    this prime alone."""
+    u = mm.unit_part.truncate(order)
+    log_u = (mm.dlog_q - 1).delta_antiderivative().truncate(order)
+    p_h = frobenius_substitute(log_u, p, max_order=order) - p * log_u
+    e = exp_series(p_h)
+    failure = _first_violation(e - 1, p, 1)
+    verified = (e * u.pow_int(p)).agrees_with(frobenius_substitute(u, p, max_order=order))
+    return DworkCertificate(prime=p, order=e.order, witness=p_h * F(1, p),
+                            verdict=failure is None, failure=failure,
+                            witness_verified=verified)
+
+
+def _check_dwork(mm: MirrorMap, p: int, n: int):
+    """Certify mm and demand the exp-path reference certificate field for
+    field.  Dwork's lemma, for every p: the verdict holds exactly when the
+    witness is p-integral, and a failure sits at the witness's first
+    non-integral coefficient with one more unit of valuation."""
+    cert = dwork_certify(mm, p, n)
+    assert cert == reference_dwork(mm, p, n), (p, mm.q_of_t, mm.dlog_q)
+    loc = _first_violation(cert.witness, p, 0)
+    assert cert.verdict == (loc is None), (p, mm.q_of_t)
+    if loc is not None:
+        assert cert.failure == FailureLocus(loc.index, loc.valuation + 1)
+    return cert
+
+
+def _check_dwork_unit(u: RationalSeries, p: int, n: int):
+    """_check_dwork on the map of u, whose witness must also equal
+    (1/p) log(u(t^p) u^-p) built directly from u."""
+    cert = _check_dwork(mirror_from_unit(u), p, n)
     v = frobenius_substitute(u, p, max_order=n) * u.pow_int(p).invert() - 1
     assert cert.witness == log_series(1 + v) * F(1, p), (p, u)
-    if p != 2:
-        assert cert.verdict == (_first_violation(cert.witness, p, 0) is None), (p, u)
     return cert
 
 
 def run_dwork_soundness(cases: int, seed: int = 20240509) -> int:
-    """Integral unit parts certify; a planted p-denominator at an index
-    prime to p is always caught; every witness matches the direct
-    log(u(t^p)/u^p)/p."""
+    """Integral unit parts certify; a planted p-power denominator at an
+    index prime to p is always caught; a tampered dlog_q is never
+    re-verified; every certificate equals the exp-path reference and every
+    untampered witness the direct log(u(t^p)/u^p)/p."""
     rng = random.Random(seed)
     primes = (2, 3, 5, 7)
     for i in range(cases):
         p = primes[i % len(primes)]
         n = rng.randint(4, 10)
         u = rand_one_plus_integral(rng, n)
-        cert = _check_dwork(u, p, n)
+        cert = _check_dwork_unit(u, p, n)
         assert cert.verdict, (p, u)
         assert cert.witness_verified
         j = rng.randint(1, n - 1)
         while j % p == 0:
             j = rng.randint(1, n - 1)
         c = rng.randint(1, p - 1) if p > 2 else 1
-        bad = u + RationalSeries.monomial(F(c, p), j, n)
-        cert_bad = _check_dwork(bad, p, n)
+        bad = u + RationalSeries.monomial(F(c, p ** rng.randint(1, 3)), j, n)
+        cert_bad = _check_dwork_unit(bad, p, n)
         assert not cert_bad.verdict, (p, j, bad)
         assert cert_bad.failure is not None and cert_bad.failure.index >= j
+        mm = mirror_from_unit(rng.choice((u, bad)))
+        k = rng.randint(1, n - 1)
+        tamper = RationalSeries.monomial(rand_frac(rng) or 1, k, mm.dlog_q.order)
+        cert_t = _check_dwork(replace(mm, dlog_q=mm.dlog_q + tamper), p, n)
+        assert not cert_t.witness_verified, (p, k, mm.q_of_t)
     return cases
 
 

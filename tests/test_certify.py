@@ -55,8 +55,8 @@ class TestDwork:
         assert cert.witness_verified
 
     def test_exp_unit_fails_at_two(self):
-        # q = t * exp(t): the correction series is exp(t^2 - 2t), whose
-        # t^2 coefficient 3 is odd
+        # q = t * exp(t), so L = t and p h = L(t^2) - 2 L = t^2 - 2t, whose
+        # t^2 coefficient 1 is the first with v_2 < 1
         q = exp_series(RationalSeries.identity(4)).shift(1).truncate(4)
         cert = dwork_certify(mm_from_q(q), 2, 3)
         assert not cert.verdict
@@ -90,6 +90,18 @@ class TestDwork:
                 assert entry.dwork.witness_verified is ok
                 assert entry.all_pass is ok
             assert report.consistent is ok
+
+    def test_tamper_at_last_index_fails_reverification(self):
+        # the once-per-map check must reach the coefficient of t^(order - 1)
+        result = run_pipeline(fixture_operator("quintic"), 20, max_degree=4)
+        bad = replace(result.mm,
+                      dlog_q=result.mm.dlog_q + RationalSeries.monomial(1, 19, 20))
+        assert not dwork_certify(bad, 7, 20).witness_verified
+        report = n_integrality_report(
+            operator_name="quintic", rank=4, order=20, mm=bad,
+            y_q=result.yukawa.y_q, instantons=result.instantons, primes=(7, 11, 13))
+        assert not any(entry.dwork.witness_verified for entry in report.certificates)
+        assert not report.consistent
 
 
 class TestKSV:

@@ -106,6 +106,14 @@ class TestExitCodes:
                                  "--order", "20", "--prime-bound", "5")
         assert code == 2
 
+    def test_prime_bound_above_cap_rejected(self):
+        start = time.perf_counter()
+        code, out, err = run_cli("certify", "--fixture", "quintic", "--order", "10",
+                                 "--max-degree", "3", "--prime-bound", "20000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert str(cli.MAX_PRIME_BOUND) in err
+
     def test_malformed_primes_list(self):
         code, out, err = run_cli("certify", "--fixture", "quintic",
                                  "--primes", "7,abc")
