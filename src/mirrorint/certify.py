@@ -23,11 +23,16 @@ transformation.  The entries
 
 satisfy delta(m23) = Y - Y(q^p), m23 = -delta(m13), delta(m14) = 2 m13 and
 Y(q^p) - Y(q) = (1/2) delta^3(m14), so psi = -(1/2) m14.  All three series
-must be p-integral.
+must be p-integral.  A report builds Y(q) - Y(q^p) once per prime for both
+checks.
 
 A report aggregates the certificates over every admissible prime (p larger
 than the rank, p not dividing the observed denominator support) up to a
-bound, and states the verdict together with its truncation caveats.
+bound, and states the verdict together with its truncation caveats.  At a
+tested prime u = q/t already lies in 1 + t Z_p[[t]], so a verified Dwork
+witness always passes there: the report's Dwork verdict restates the
+support skip.  It fails at a prime of the support, which dwork_certify
+accepts, at the index where p first enters the denominators of u.
 """
 
 from __future__ import annotations
@@ -141,10 +146,7 @@ def _frobenius_difference(y_q: RationalSeries, p: int, order: int) -> RationalSe
     return y - frobenius_substitute(y, p, max_order=order)
 
 
-def ksv_certify(y_q: RationalSeries, p: int, order: int) -> KSVCertificate:
-    """Check v_p(b_m) >= 3 v_p(m) for b = Y(q) - Y(q^p)."""
-    _check_prime(p)
-    b = _frobenius_difference(y_q, p, order)
+def _ksv(b: RationalSeries, p: int) -> KSVCertificate:
     psi = b.delta_antiderivative().delta_antiderivative().delta_antiderivative()
     failure = _first_violation(psi, p, 0)
     verified = psi.delta().delta().delta().agrees_with(b)
@@ -153,10 +155,13 @@ def ksv_certify(y_q: RationalSeries, p: int, order: int) -> KSVCertificate:
                           witness_verified=verified)
 
 
-def gauge_certify(y_q: RationalSeries, p: int, order: int) -> GaugeCertificate:
-    """Check p-integrality of the Frobenius gauge entries m13, m23, m14."""
+def ksv_certify(y_q: RationalSeries, p: int, order: int) -> KSVCertificate:
+    """Check v_p(b_m) >= 3 v_p(m) for b = Y(q) - Y(q^p)."""
     _check_prime(p)
-    b = _frobenius_difference(y_q, p, order)
+    return _ksv(_frobenius_difference(y_q, p, order), p)
+
+
+def _gauge(b: RationalSeries, p: int) -> GaugeCertificate:
     m23 = b.delta_antiderivative()
     m13 = -m23.delta_antiderivative()
     m14 = 2 * m13.delta_antiderivative()
@@ -177,6 +182,12 @@ def gauge_certify(y_q: RationalSeries, p: int, order: int) -> GaugeCertificate:
                             checks=tuple(checks),
                             verdict=all(c.passed for c in checks),
                             failure=first, relations_verified=relations_ok)
+
+
+def gauge_certify(y_q: RationalSeries, p: int, order: int) -> GaugeCertificate:
+    """Check p-integrality of the Frobenius gauge entries m13, m23, m14."""
+    _check_prime(p)
+    return _gauge(_frobenius_difference(y_q, p, order), p)
 
 
 def denominator_support(values) -> tuple[int, ...]:
@@ -286,9 +297,11 @@ def n_integrality_report(*, operator_name: str, rank: int, order: int,
             continue
         tested.append(p)
     verified = bool(tested) and _log_unit_verified(mm, order)
-    certs = [PrimeCertificates(prime=p, dwork=_dwork(mm, p, order, verified),
-                               ksv=ksv_certify(y_q, p, order),
-                               gauge=gauge_certify(y_q, p, order)) for p in tested]
+    certs = []
+    for p in tested:
+        dwork = _dwork(mm, p, order, verified)
+        b = _frobenius_difference(y_q, p, order)  # shared by KSV and gauge
+        certs.append(PrimeCertificates(prime=p, dwork=dwork, ksv=_ksv(b, p), gauge=_gauge(b, p)))
     return IntegralityReport(
         operator_name=operator_name,
         rank=rank,

@@ -21,23 +21,36 @@ The zero series is represented with an empty coefficient list and val set
 equal to order ("no nonzero coefficient below the truncation").  Instances
 are immutable; all arithmetic returns new objects.
 
-compose and reversion have two exact paths with the same results and
-orders.  When the inner series (the series itself, for reversion) is
-t + O(t^2) with integer coefficients, as every mirror map in the
-q'(0) = 1 gauge is, they run multimodularly: the outer series is scaled by
-the common denominator of its coefficients, the work runs modulo the
-largest primes below 2^62 (a series product is one Python int product of
-Kronecker-packed residues; compose is Horner, reversion is Lagrange
-inversion), and each coefficient is rebuilt by CRT in the symmetric range.
-The primes are counted, before any residue is taken, from a majorant bound
-computed exactly over the integers; their product exceeds twice it:
+compose and reversion run multimodularly on every input: the work runs
+modulo the largest primes below 2^62 (a series product is one Python int
+product of Kronecker-packed residues; compose is Horner, reversion is
+Lagrange inversion), and each coefficient is rebuilt by CRT in the
+symmetric range.  A leading coefficient c of the inner series (the series
+itself, for reversion) is scaled out exactly first, so the kernel sees
+V = t + O(t^2) (or an inner series of valuation >= 2): f^-1(q) =
+(f/c)^-1(q/c) and outer(c V) = sum_k (outer_k c^k) V^k.
 
-  compose      |outer_k| <= A a^k, |inner_j| <= b^(j-1)   |[t^m]| <= A a (a+b)^(m-1)
-  reversion    q = t u(t), |u_j| <= R^j                    |t_m| <= s_m R^(m-1)
+Rational coefficients are cleared before any residue is taken.  The outer
+series is scaled by its common denominator.  Every output coefficient is an
+integer polynomial in v_j = [t^j](q/(c t)) (reversion) or v_j = [t^(j+1)] V
+(compose), weighted homogeneous of weight at most n - 2 with v_j of weight
+j, so its denominator divides
+
+  D(n - 2),   D(0) = 1,   D(s) = lcm_{1 <= j <= s} den(v_j) D(s - j),
+
+and the kernel rebuilds the integers D * coefficient.  Primes dividing an
+input denominator are skipped.  Their count comes, before any residue is
+taken, from D times a majorant bound computed exactly over the integers
+from the ceilings of the coefficients' absolute values; the primes'
+product exceeds twice it:
+
+  compose      |outer_k| <= A a^k, |V_j| <= b^(j-1)     |[t^m]| <= A a (a+b)^(m-1)
+  reversion    q = t u(t), |u_j| <= R^j                 |t_m| <= s_m R^(m-1)
 
 with a, b, R powers of two read off the inputs and s_m the little
-Schroeder numbers.  Every other input runs Horner and Newton over
-Fraction, which are also the reference the tests compare against.
+Schroeder numbers.  On integer inputs D = 1 and no prime is skipped.  The
+Fraction Horner and Newton references the tests compare against live in
+tests/helpers.py.
 
 Operators t*d/dt (delta) and log t interact by delta(log t) = 1, which is
 what makes LogSeries closed under delta.
@@ -123,51 +136,51 @@ def _inv_raw(a: Sequence[Fraction], n: int) -> list[Fraction]:
     return out
 
 
-def _compose_raw(outer: Sequence[Fraction], inner: Sequence[Fraction], n: int) -> list[Fraction]:
-    # Horner in the inner series; inner[0] must be 0.
-    out = [_ZERO] * n
-    for c in reversed(outer):
-        out = _mul_raw(out, inner, n)
-        if c:
-            out[0] += c
-    return out
-
-
-def _reversion_newton(f: Sequence[Fraction], n: int) -> list[Fraction]:
-    # Newton g <- g - g'(f(g) - q); a step correct modulo q^m is correct
-    # modulo q^(2m-1).  f[0] = 0, f[1] != 0.
-    g = [_ZERO, _ONE / f[1]]
-    m = 2
-    while m < n:
-        m = min(2 * m - 1, n)
-        fg = _compose_raw(f[:m], g + [_ZERO] * (m - len(g)), m)
-        fg[1] -= _ONE
-        dg = [(k + 1) * g[k + 1] for k in range(len(g) - 1)]
-        corr = _mul_raw(dg, fg, m)
-        g = [(g[k] if k < len(g) else _ZERO) - corr[k] for k in range(m)]
-    return g
-
-
 # ---------------------------------------------------------------------------
-# multimodular kernel: integral compose and reversion modulo 62-bit primes
+# multimodular kernel: compose and reversion modulo 62-bit primes
 # ---------------------------------------------------------------------------
 
 _MODULI: list[int] = []  # largest primes below 2^62, descending; grown on first use
 
 
-def _moduli_for(bound: int) -> list[int]:
-    """Shortest prefix of the prime list whose product exceeds 2 * bound."""
+def _moduli_for(bound: int, den: int = 1) -> list[int]:
+    """Shortest run of the prime list, skipping the primes that divide den,
+    whose product exceeds 2 * bound."""
     from .padic import is_prime  # padic imports this module
-    out, prod = [], 1
+    out, prod, i = [], 1, 0
     while prod <= 2 * bound:
-        if len(out) == len(_MODULI):
+        if i == len(_MODULI):
             c = _MODULI[-1] - 2 if _MODULI else (1 << 62) - 1
             while not is_prime(c):
                 c -= 2
             _MODULI.append(c)
-        out.append(_MODULI[len(out)])
-        prod *= out[-1]
+        p, i = _MODULI[i], i + 1
+        if den % p:
+            out.append(p)
+            prod *= p
     return out
+
+
+def _den_multiple(vs: Sequence[Fraction], s: int) -> int:
+    """D(s) for D(0) = 1 and D(k) = lcm_{1 <= j <= k} den(v_j) D(k - j).
+
+    D(k) is a multiple of den(v_(j_1)) ... den(v_(j_i)) whenever
+    j_1 + ... + j_i <= k, so it clears the denominator of any integer
+    polynomial in v_0 (an integer), v_1, v_2, ... that is weighted
+    homogeneous of weight at most k, v_j having weight j.  Per prime l,
+    v_l(D(k)) is the largest sum of v_l(den v_j) over parts j summing to at
+    most k.  D(k - 1) divides D(k), so a v_j with denominator 1 adds nothing.
+    """
+    dens = [(j, v.denominator) for j, v in enumerate(vs[:s + 1]) if j and v.denominator != 1]
+    D = [1]
+    for k in range(1, s + 1):
+        d = D[k - 1]
+        for j, dj in dens:
+            if j > k:
+                break
+            d = math.lcm(d, dj * D[k - j])
+        D.append(d)
+    return D[-1]
 
 
 def _rate(cs: Sequence[int], scale: int = 1) -> int:
@@ -179,30 +192,33 @@ def _rate(cs: Sequence[int], scale: int = 1) -> int:
     return r
 
 
-def _compose_bound(outer: Sequence[int], inner: Sequence[int], n: int) -> int:
-    """Bound on |[t^m] outer(inner)| for m < n, inner = t + O(t^2), n >= 2.
+def _compose_bound(outer: Sequence[int], inner: Sequence[int], n: int,
+                   inner_den: int = 1) -> int:
+    """Bound on |[t^m] outer(inner / inner_den)| for m < n, where
+    inner / inner_den is t + O(t^2) or has valuation >= 2.
 
-    With |outer_k| <= A a^k and |inner_j| <= b^(j-1), the composition is
-    majorized by A/(1 - a t/(1 - b t)), whose t^m coefficient is
-    A a (a + b)^(m-1) for m >= 1; outer_k = A a^k, inner = t/(1 - b t)
+    With |outer_k| <= A a^k and |inner_j / inner_den| <= b^(j-1), the
+    composition is majorized by A/(1 - a t/(1 - b t)), whose t^m coefficient
+    is A a (a + b)^(m-1) for m >= 1; outer_k = A a^k, inner = t/(1 - b t)
     attain it.
     """
     A = max(1, abs(outer[0]))
-    a, b = 1 << _rate(outer, A), 1 << _rate(inner[1:])
-    return A * a * (a + b) ** (n - 2)
+    a, b = 1 << _rate(outer, A), 1 << _rate(inner[1:], inner_den)
+    return A * a * (a + b) ** max(n - 2, 0)
 
 
-def _reversion_bound(u: Sequence[int], n: int) -> int:
-    """Bound on |[q^m] t(q)| for m < n, where q = t u(t), u(0) = 1, n >= 2.
+def _reversion_bound(u: Sequence[int], n: int, den: int = 1) -> int:
+    """Bound on |[q^m] t(q)| for m < n, where q = t u(t) / den,
+    u(0) = den, n >= 2.
 
-    With |u_j| <= R^j, 1/u is majorized by (1 - R t)/(1 - 2 R t), so by
-    Lagrange |t_m| <= s_m R^(m-1), s_m the little Schroeder numbers
+    With |u_j / den| <= R^j, 1/u is majorized by (1 - R t)/(1 - 2 R t), so
+    by Lagrange |t_m| <= s_m R^(m-1), s_m the little Schroeder numbers
     1, 1, 3, 11, 45, ...; u = 1 - sum_j R^j t^j attains it.
     """
     s_prev, s = 1, 1  # s_1, s_2; (m+1) s_(m+1) = 3(2m-1) s_m - (m-2) s_(m-1)
     for m in range(2, n - 1):
         s_prev, s = s, (3 * (2 * m - 1) * s - (m - 2) * s_prev) // (m + 1)
-    return s << (_rate(u) * (n - 2))
+    return s << (_rate(u, den) * (n - 2))
 
 
 def _slot(n: int) -> int:
@@ -221,11 +237,20 @@ def _unpack(x: int, width: int, n: int, p: int) -> list[int]:
     return [from_bytes(b[i:i + width], "little") % p for i in range(0, n * width, width)]
 
 
+def _residues(cs: Sequence[int], den: int, p: int) -> list[int]:
+    # cs / den modulo p, for p prime to den
+    if den == 1:
+        return [c % p for c in cs]
+    inv = pow(den, -1, p)
+    return [c % p * inv % p for c in cs]
+
+
 def _compose_mod(outer: Sequence[int], inner: Sequence[int], n: int, p: int) -> list[int]:
-    # Horner; the partial sum at outer_k is later multiplied by inner^k,
-    # so only its first n - k coefficients matter (and those of inner).
+    # Horner on the residues of inner; the partial sum at outer_k is later
+    # multiplied by inner^k, so only its first n - k coefficients matter
+    # (and those of inner).
     width = _slot(n)
-    inn = _pack([c % p for c in inner[:n]], width)
+    inn = _pack(inner[:n], width)
     out: list[int] = []
     for k in range(len(outer) - 1, -1, -1):
         keep = n - k
@@ -247,9 +272,10 @@ def _inv_mod(a: Sequence[int], n: int, p: int, width: int) -> list[int]:
 
 
 def _reversion_mod(u: Sequence[int], n: int, p: int) -> list[int]:
-    # Lagrange: t = q w(t) with w = 1/u, so t_m = [t^(m-1)] w^m / m.
+    # Lagrange on the residues of u: t = q w(t) with w = 1/u, so
+    # t_m = [t^(m-1)] w^m / m.
     width = _slot(n)
-    w = _pack(_inv_mod([c % p for c in u], n - 1, p, width), width)
+    w = _pack(_inv_mod(u, n - 1, p, width), width)
     out, power = [0] * n, [1]
     for m in range(1, n):
         power = _unpack(_pack(power, width) * w, width, n - 1, p)
@@ -257,10 +283,12 @@ def _reversion_mod(u: Sequence[int], n: int, p: int) -> list[int]:
     return out
 
 
-def _crt(residues: Sequence[Sequence[int]], moduli: Sequence[int]) -> list[int]:
-    """Coefficientwise CRT into the symmetric range (-M/2, M/2)."""
+def _crt(residues: Sequence[Sequence[int]], moduli: Sequence[int],
+         scale: int = 1) -> list[int]:
+    """Coefficientwise CRT of scale times the residues into the symmetric
+    range (-M/2, M/2)."""
     M = math.prod(moduli)
-    basis = [M // p * pow(M // p, -1, p) for p in moduli]
+    basis = [scale * (M // p) * pow(M // p, -1, p) % M for p in moduli]
     half = M >> 1
     out = []
     for rs in zip(*residues):
@@ -269,26 +297,42 @@ def _crt(residues: Sequence[Sequence[int]], moduli: Sequence[int]) -> list[int]:
     return out
 
 
-def _is_integral_unit_shift(cs: Sequence[Fraction]) -> bool:
-    # t + O(t^2) with integer coefficients, as a dense list from t^0
-    return (len(cs) > 1 and cs[0] == 0 and cs[1] == 1
-            and all(c.denominator == 1 for c in cs))
+def _over_lcm(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    # cs = nums / den with den the least common denominator
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _compose_multimodular(outer: Sequence[Fraction], inner: Sequence[Fraction],
                           n: int) -> list[Fraction]:
-    den = math.lcm(*(c.denominator for c in outer))
-    f = [c.numerator * (den // c.denominator) for c in outer]
-    g = [c.numerator for c in inner]
-    moduli = _moduli_for(_compose_bound(f, g, n))
-    ys = _crt([_compose_mod(f, g, n, p) for p in moduli], moduli)
-    return [Fraction(y, den) for y in ys]
+    # inner = c V with V = t + O(t^2) (c = 1 when inner has valuation >= 2),
+    # so outer(inner) = sum_k (outer_k c^k) V^k.  [t^m] V^k is an integer
+    # polynomial in v_j = [t^(j+1)] V of weight m - k <= n - 2.
+    c = inner[1] if len(inner) > 1 and inner[1] else _ONE
+    if c != 1:
+        outer = [x * c ** k for k, x in enumerate(outer)]
+        inner = [x / c for x in inner]
+    f, den = _over_lcm(outer)
+    g, gden = _over_lcm(inner)
+    D = _den_multiple(inner[1:], n - 2)
+    moduli = _moduli_for(D * _compose_bound(f, g, n, gden), gden)
+    ys = _crt([_compose_mod(f, _residues(g, gden, p), n, p) for p in moduli], moduli, D)
+    return [Fraction(y, den * D) for y in ys]
 
 
 def _reversion_multimodular(f: Sequence[Fraction], n: int) -> list[Fraction]:
-    u = [c.numerator for c in f[1:]]
-    moduli = _moduli_for(_reversion_bound(u, n))
-    return [Fraction(x) for x in _crt([_reversion_mod(u, n, p) for p in moduli], moduli)]
+    # f = c t U(t) with U(0) = 1 and f^-1(q) = (f/c)^-1(q/c); the q^m
+    # coefficient of (f/c)^-1 is an integer polynomial in v_j = [t^j] U of
+    # weight m - 1 <= n - 2.
+    c = f[1]
+    U = f[1:] if c == 1 else [x / c for x in f[1:]]
+    u, uden = _over_lcm(U)
+    D = _den_multiple(U, n - 2)
+    moduli = _moduli_for(D * _reversion_bound(u, n, uden), uden)
+    ts = _crt([_reversion_mod(_residues(u, uden, p), n, p) for p in moduli], moduli, D)
+    if c == 1:
+        return [Fraction(x, D) for x in ts]
+    return [Fraction(x, D) / c ** m for m, x in enumerate(ts)]
 
 
 class RationalSeries:
@@ -492,25 +536,19 @@ class RationalSeries:
             return RationalSeries.zero(order)
         outer = self.coeff_list(min(self.order, order))
         inn = inner.coeff_list(min(inner.order, order))
-        if _is_integral_unit_shift(inn):
-            return RationalSeries._make(0, _compose_multimodular(outer, inn, order), order)
-        return RationalSeries._make(0, _compose_raw(outer, inn, order), order)
+        return RationalSeries._make(0, _compose_multimodular(outer, inn, order), order)
 
     def reversion(self) -> "RationalSeries":
         """Compositional inverse g with self(g(q)) = q.
 
-        For self = t + O(t^2) with integer coefficients this is Lagrange
-        inversion modulo each prime, t_m = [t^(m-1)] (t/self)^m / m;
-        otherwise Newton iteration over Fraction.
+        Lagrange inversion modulo each prime, t_m = [t^(m-1)] (t/self)^m / m
+        for self = t + O(t^2); a leading coefficient c is scaled out first.
         """
         if self.val != 1 or not self.coeffs or not self.coeffs[0]:
             raise ReversionValuation(
                 f"reversion needs valuation 1, got valuation {self.val}")
         n = self.order
-        f = self.coeff_list(n)
-        if _is_integral_unit_shift(f):
-            return RationalSeries._make(0, _reversion_multimodular(f, n), n)
-        return RationalSeries._make(0, _reversion_newton(f, n), n)
+        return RationalSeries._make(0, _reversion_multimodular(self.coeff_list(n), n), n)
 
     # -- differential structure ---------------------------------------------
 

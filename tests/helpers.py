@@ -18,6 +18,7 @@ from mirrorint import (
     dwork_certify,
     exp_series,
     frobenius_substitute,
+    is_prime,
     instanton_extract,
     ksv_certify,
     gauge_certify,
@@ -186,18 +187,63 @@ def run_precision_soundness(cases: int, seed: int = 20240506) -> int:
     return cases
 
 
+def _compose_raw(outer, inner, n):
+    # Horner in the inner series; inner[0] must be 0.
+    out = [F(0)] * n
+    for c in reversed(outer):
+        out = series._mul_raw(out, inner, n)
+        if c:
+            out[0] += c
+    return out
+
+
+def _reversion_newton(f, n):
+    # Newton g <- g - g'(f(g) - q); a step correct modulo q^m is correct
+    # modulo q^(2m-1).  f[0] = 0, f[1] != 0.
+    g = [F(0), 1 / f[1]]
+    m = 2
+    while m < n:
+        m = min(2 * m - 1, n)
+        fg = _compose_raw(f[:m], g + [F(0)] * (m - len(g)), m)
+        fg[1] -= 1
+        dg = [(k + 1) * g[k + 1] for k in range(len(g) - 1)]
+        corr = series._mul_raw(dg, fg, m)
+        g = [(g[k] if k < len(g) else F(0)) - corr[k] for k in range(m)]
+    return g
+
+
 def fraction_compose(f: RationalSeries, g: RationalSeries) -> RationalSeries:
     """Fraction Horner reference for f(g), at compose's documented order."""
     nu = g.val
     order = min(nu * f.order, g.order + max(f.val - 1, 0) * nu)
-    cs = series._compose_raw(f.coeff_list(min(f.order, order)),
-                             g.coeff_list(min(g.order, order)), order)
+    cs = _compose_raw(f.coeff_list(min(f.order, order)),
+                      g.coeff_list(min(g.order, order)), order)
     return RationalSeries._make(0, cs, order)
 
 
 def fraction_reversion(q: RationalSeries) -> RationalSeries:
     """Fraction Newton reference for the reversion of q."""
-    return RationalSeries._make(0, series._reversion_newton(q.coeff_list(), q.order), q.order)
+    return RationalSeries._make(0, _reversion_newton(q.coeff_list(), q.order), q.order)
+
+
+# rational-ops operator rand0_0 (perfbench seed 0): q(t) has denominators,
+# starting 1, 1, 8, 12, 36864 at t^1 .. t^5
+RAND0_0 = {"name": "rand0_0", "rank": 4, "n0": 1,
+           "delta_coefficients": [[0, 0, 1], [0, -6, -2], [0, 2, 2], [0, 0, -2],
+                                  [1, 1, -1]]}
+
+
+def random_operator_doc(rng, name):
+    """Rank-4 MUM operator with quadratic a_i(t), coefficients in [-6, 6].
+
+    a_i(0) = 0 for i < 4 and a_4(0) = 1 (the MUM normalisation); the t^2
+    coefficient is nonzero so every a_i really is quadratic.  n0 = 1.  The
+    same shape as the benchmark's rational-ops operators.
+    """
+    nonzero = [c for c in range(-6, 7) if c]
+    coeffs = [[0, rng.randint(-6, 6), rng.choice(nonzero)] for _ in range(4)]
+    coeffs.append([1, rng.randint(-6, 6), rng.choice(nonzero)])
+    return {"name": name, "rank": 4, "delta_coefficients": coeffs, "n0": 1}
 
 
 def rand_int_coeffs(rng, count, bits):
@@ -217,6 +263,37 @@ def rand_int_coeffs(rng, count, bits):
     return out
 
 
+FIRST_MODULUS = 4611686018427387847  # the first prime the kernel works modulo
+
+
+def rand_rational_coeffs(rng, count, bits, n):
+    """count nonzero rationals of up to `bits` bits over denominators with
+    sparse support (powers of one prime), dense support (every prime below
+    n, once count allows) or FIRST_MODULUS planted in one of them."""
+    nums = [rng.randint(-(1 << bits), 1 << bits) or 1 for _ in range(count)]
+    style = rng.randrange(3)
+    if style == 0:
+        ell = rng.choice((2, 3, 5, 7))
+        dens = [ell ** rng.randint(0, 3) for _ in nums]
+    elif style == 1:
+        ps = [ell for ell in range(2, max(n, 3)) if is_prime(ell)]
+        dens = [ps[j % len(ps)] * rng.choice(ps) for j in range(count)]
+    else:
+        dens = [1] * count
+        if count:
+            dens[rng.randrange(count)] = FIRST_MODULUS
+    return [F(a, d) for a, d in zip(nums, dens)]
+
+
+def rand_shift(rng, n, bits, leads):
+    """Coefficients of t .. t^(n-1) for a compose or reversion input: an
+    integral t + O(t^2) in half the cases, else a leading coefficient drawn
+    from `leads` over rand_rational_coeffs."""
+    if rng.random() < 0.5:
+        return [1] + rand_int_coeffs(rng, n - 2, bits)
+    return [rng.choice(leads)] + rand_rational_coeffs(rng, n - 2, min(bits, 64), n)
+
+
 def extremal_compose_inputs(n, A, ra, rb):
     """outer_k = A 2^(ra k) and inner = t/(1 - 2^rb t): the composition
     bound is attained at t^(n-1)."""
@@ -231,14 +308,32 @@ def extremal_reversion_input(n, r):
                                       order=n, valuation=1)
 
 
+def den_extremal_inputs(n):
+    """q = t (1 - sum_j t^j / 2^j), whose t_m = s_m / 2^(m-1) has s_m odd,
+    and f = sum_k t^k, g = t/(1 - t/6), whose f(g) has [t^m] = (7/6)^(m-1):
+    on both, D(n - 2) is the lcm of the output denominators."""
+    q = RationalSeries.from_coeffs([1] + [F(-1, 2 ** j) for j in range(1, n - 1)],
+                                   order=n, valuation=1)
+    f = RationalSeries.from_coeffs([1] * n)
+    g = RationalSeries.from_coeffs([F(1, 6 ** j) for j in range(n - 1)], order=n, valuation=1)
+    return q, f, g
+
+
+_LEADS = (1, 2, -3, F(1, 5), F(-7, 2))
+
+
 def run_modular_vs_fraction(cases: int, seed: int = 20240512) -> int:
-    """compose and reversion with an integral inner series t + O(t^2) equal
-    the Fraction Horner and Newton references, coefficients and order.
+    """compose and reversion equal the Fraction Horner and Newton
+    references, coefficients and order.
 
     Orders 2-40 (mostly below 16), coefficients of up to about 300 bits (the
-    largest only up to order 8), dense, sparse, zero and single-term inputs, rational outer
-    series, and every tenth case the majorant-extremal inputs, whose top
-    coefficient must equal the bound the kernel sizes its primes from.
+    largest only up to order 8), dense, sparse, zero and single-term inputs,
+    rational outer series, rational inner series and q with a leading
+    coefficient other than 1 (inner series of valuation 2 too) over sparse,
+    dense and planted denominator support (rand_rational_coeffs), and every
+    tenth case the majorant-extremal inputs, whose top coefficient must equal
+    the bound the kernel sizes its primes from.  A planted FIRST_MODULUS
+    denominator makes the kernel skip that prime, or the case fails.
     """
     rng = random.Random(seed)
     for i in range(cases):
@@ -255,7 +350,7 @@ def run_modular_vs_fraction(cases: int, seed: int = 20240512) -> int:
                 if rng.random() < 0.3:
                     cs = [F(c, rng.randint(1, 1 << rng.choice((2, 16, 64)))) for c in cs]
                 f = RationalSeries.from_coeffs(cs)
-                g = RationalSeries.from_coeffs([1] + rand_int_coeffs(rng, n - 2, bits),
+                g = RationalSeries.from_coeffs(rand_shift(rng, n, bits, _LEADS + (0,)),
                                                order=n, valuation=1)
             got, want = f.compose(g), fraction_compose(f, g)
             if extremal:
@@ -266,7 +361,7 @@ def run_modular_vs_fraction(cases: int, seed: int = 20240512) -> int:
             if extremal:
                 q = extremal_reversion_input(n, rng.randint(0, 8))
             else:
-                q = RationalSeries.from_coeffs([1] + rand_int_coeffs(rng, n - 2, bits),
+                q = RationalSeries.from_coeffs(rand_shift(rng, n, bits, _LEADS),
                                                order=n, valuation=1)
             got, want = q.reversion(), fraction_reversion(q)
             if extremal:

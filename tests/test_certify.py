@@ -1,5 +1,6 @@
 """Integrality certificates: Dwork, KSV, gauge system, and the report."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,12 +19,15 @@ from mirrorint import (
     instanton_extract,
     ksv_certify,
     lambert_expand,
+    load_operator_json,
     mirror_map,
     n_integrality_report,
     run_pipeline,
     yukawa_q,
     yukawa_t,
 )
+
+from mirrorint.certify import _first_violation
 
 import helpers
 
@@ -62,6 +66,19 @@ class TestDwork:
         assert not cert.verdict
         assert cert.failure.index == 2
         assert cert.failure.valuation == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_support_prime_fails(self, p):
+        # rand0_0's q has p in its denominators: Dwork fails where p first
+        # enters the denominators of u = q/t, with a verified witness
+        op = load_operator_json(json.dumps(helpers.RAND0_0))
+        mm = mirror_map(frobenius_solutions(op, 20))
+        enters = _first_violation(mm.unit_part, p, 0)
+        assert enters is not None
+        cert = dwork_certify(mm, p, 20)
+        assert not cert.verdict
+        assert cert.witness_verified
+        assert cert.failure.index == enters.index
 
     def test_quintic_passes(self):
         mm = mirror_map(frobenius_solutions(fixture_operator("quintic"), 24))
@@ -191,6 +208,10 @@ class TestReport:
             assert per_prime.all_pass
             assert per_prime.dwork.witness_verified
             assert per_prime.ksv.witness_verified
+            p = per_prime.prime
+            assert per_prime.dwork == dwork_certify(result.mm, p, 50)
+            assert per_prime.ksv == ksv_certify(result.yukawa.y_q, p, 50)
+            assert per_prime.gauge == gauge_certify(result.yukawa.y_q, p, 50)
         want_n = 1
         for p in sorted(set(report.q_support) | set(report.instanton_support)):
             want_n *= p
@@ -229,6 +250,8 @@ class TestReport:
         assert entry.dwork.verdict
         assert not entry.ksv.verdict
         assert entry.ksv.failure.index == 7
+        assert entry.ksv == ksv_certify(y, 7, order)
+        assert entry.gauge == gauge_certify(y, 7, order)
 
     def test_empty_prime_range(self):
         order = 10

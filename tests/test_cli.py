@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import mirrorint
-from mirrorint import cli, hypergeometric_doc, picard_fuchs
+from mirrorint import cli, hypergeometric_doc, picard_fuchs, run_pipeline
 from mirrorint.cli import main
+
+import helpers
 
 
 def run_cli(*args):
@@ -262,6 +265,31 @@ class TestDeterminism:
         args = ("instantons", "--fixture", "x2222", "--order", "10",
                 "--max-degree", "4", "--format", "csv")
         assert run_cli(*args)[1] == run_cli(*args)[1]
+
+
+def test_random_operators_match_fraction_reference(tmp_path):
+    # seeded rank-4 MUM operators whose q(t) has denominators: the kernel's
+    # t(q) and Y(q) equal the Fraction references, the basis solves L, and
+    # the report's bytes repeat
+    rng = random.Random(20240513)
+    for k in range(20):
+        doc = helpers.random_operator_doc(rng, f"fuzz{k}")
+        order = rng.randint(6, 20)
+        op = picard_fuchs.load_operator(doc)
+        result = run_pipeline(op, order)
+        mm, y0 = result.mm, result.basis.holomorphic
+        assert mm.t_of_q == helpers.fraction_reversion(mm.q_of_t)
+        integrand = result.yukawa.w_t * (y0.pow_int(2) * mm.dlog_q.pow_int(3)).invert()
+        assert result.yukawa.y_q == helpers.fraction_compose(
+            integrand.truncate(order), mm.t_of_q.truncate(order + 1))
+        assert all(picard_fuchs.residual(op, y).is_zero() for y in result.basis.solutions)
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        args = ("report", "--operator", str(path), "--order", str(order),
+                "--max-degree", str(min(8, order - 1)), "--prime-bound", "30")
+        first = run_cli(*args)
+        assert first[0] in (0, 1) and first[2] == "", (doc, first)
+        assert run_cli(*args) == first
 
 
 def test_module_entry_point_subprocess():

@@ -303,9 +303,35 @@ class TestMultimodularBound:
         full = series._moduli_for
         assert len(full(series._compose_bound(_ints(f), _ints(g), 40))) >= 2
         assert len(full(series._reversion_bound(_ints(q)[1:], 40))) >= 2
-        monkeypatch.setattr(series, "_moduli_for", lambda bound: full(bound)[:-1])
+        monkeypatch.setattr(series, "_moduli_for",
+                            lambda bound, den=1: full(bound, den)[:-1])
         assert f.compose(g) != want_y
         assert q.reversion() != want_t
+
+    def test_den_multiple_is_attained(self):
+        n = 40
+        q, f, g = helpers.den_extremal_inputs(n)
+        t, y = q.reversion(), f.compose(g)
+        assert t == helpers.fraction_reversion(q)
+        assert y == helpers.fraction_compose(f, g)
+        assert y.coeff(n - 1) == F(7, 6) ** (n - 2)
+        assert math.lcm(*(c.denominator for c in t.coeffs)) == 2 ** (n - 2)
+        assert math.lcm(*(c.denominator for c in y.coeffs)) == 6 ** (n - 2)
+        assert series._den_multiple(q.coeff_list()[1:], n - 2) == 2 ** (n - 2)
+        assert series._den_multiple(g.coeff_list()[1:], n - 2) == 6 ** (n - 2)
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_short_den_multiple_is_caught(self, monkeypatch, ell):
+        # the extremal inputs with one factor ell taken out of D: the kernel
+        # rebuilds D * coefficient as an integer, which it no longer is
+        q, f, g = helpers.den_extremal_inputs(40)
+        want_t, want_y = helpers.fraction_reversion(q), helpers.fraction_compose(f, g)
+        assert q.reversion() == want_t and f.compose(g) == want_y
+        full = series._den_multiple
+        monkeypatch.setattr(series, "_den_multiple", lambda vs, s: full(vs, s) // ell)
+        assert f.compose(g) != want_y
+        if ell == 2:
+            assert q.reversion() != want_t
 
     @pytest.mark.parametrize("name", ["quintic", "x2222"])
     def test_bound_covers_pipeline_series(self, name):
@@ -326,13 +352,9 @@ class TestMultimodularBound:
         assert bound >= y_max
 
 
-# rational-ops operator rand0_0 (perfbench seed 0): q(t) has denominators
-_RAND0_0 = {"name": "rand0_0", "rank": 4, "n0": 1,
-            "delta_coefficients": [[0, 0, 1], [0, -6, -2], [0, 2, 2], [0, 0, -2],
-                                   [1, 1, -1]]}
-
-
 class TestDispatch:
+    # every input runs the kernel; these are the shapes that are not an
+    # integral t + O(t^2)
     @pytest.mark.parametrize("inner", [
         S([1, F(1, 2), 3], order=6, valuation=1),   # non-integral coefficient
         S([2, 1, 3], order=6, valuation=1),         # leading coefficient 2
@@ -344,17 +366,22 @@ class TestDispatch:
         assert outer.compose(inner) == helpers.fraction_compose(outer, inner)
         if inner.val == 1:
             assert inner.reversion() == helpers.fraction_reversion(inner)
-        assert not calls
+            assert calls == {"_compose_multimodular": 1, "_reversion_multimodular": 1}
+        else:
+            assert calls == {"_compose_multimodular": 1}
 
     def test_rational_q_takes_fraction_path(self, monkeypatch):
-        op = load_operator_json(json.dumps(_RAND0_0))
+        # a q(t) with denominators, reverted and composed on the kernel
+        op = load_operator_json(json.dumps(helpers.RAND0_0))
         q = mirror_map(frobenius_solutions(op, 16)).q_of_t
         assert any(c.denominator != 1 for c in q.coeffs)
         calls = _count_paths(monkeypatch)
         t = q.reversion()
         assert t == helpers.fraction_reversion(q)
-        assert q.compose(t).agrees_with(RationalSeries.identity(16))
-        assert not calls
+        qt = q.compose(t)
+        assert qt == helpers.fraction_compose(q, t)
+        assert qt.agrees_with(RationalSeries.identity(16))
+        assert calls == {"_compose_multimodular": 1, "_reversion_multimodular": 1}
 
     def test_rational_outer_takes_modular_path(self, monkeypatch):
         outer = S([F(1, 3), F(-5, 7), F(2, 9), 4, F(1, 11)], order=5)
@@ -393,8 +420,8 @@ def test_modular_vs_fraction_property_suite(monkeypatch):
     calls = _count_paths(monkeypatch)
     assert helpers.run_modular_vs_fraction(1000) >= 1000
     # every reversion runs the kernel; so does every composition except the
-    # 96 whose outer series is zero, which compose returns directly
-    assert calls == {"_reversion_multimodular": 500, "_compose_multimodular": 404}
+    # 90 whose outer series is zero, which compose returns directly
+    assert calls == {"_reversion_multimodular": 500, "_compose_multimodular": 410}
 
 
 def test_ring_axioms_property_suite():
