@@ -20,17 +20,17 @@ from .picard_fuchs import (MalformedSpec, MirrorMap, MonodromyMatrix, NotMUM,
                            frobenius_solutions, load_operator, load_operator_json,
                            mirror_map, monodromy_matrix, residual)
 from .pipeline import PipelineResult, run_pipeline
-from .series import (CompositionValuation, ExpConstantTerm, LogConstantTerm,
-                     LogSeries, RationalSeries, ReversionValuation, SeriesError,
-                     ZeroLeadingCoefficient, exp_series, log_series)
+from .series import (CompositionValuation, CRTMismatch, ExpConstantTerm,
+                     LogConstantTerm, LogSeries, RationalSeries, ReversionValuation,
+                     SeriesError, ZeroLeadingCoefficient, exp_series, log_series)
 from .yukawa import (InstantonSeries, InsufficientOrder, NotRankFour, YukawaData,
                      instanton_extract, lambert_expand, yukawa_q, yukawa_t)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompositionValuation", "DworkCertificate", "ExpConstantTerm", "FIXTURES",
-    "FailureLocus", "GaugeCertificate", "InstantonSeries", "InsufficientOrder",
+    "CRTMismatch", "CompositionValuation", "DworkCertificate", "ExpConstantTerm",
+    "FIXTURES", "FailureLocus", "GaugeCertificate", "InstantonSeries", "InsufficientOrder",
     "IntegralityReport", "KSVCertificate", "LogConstantTerm", "LogSeries",
     "MalformedSpec", "MirrorMap", "MonodromyMatrix",
     "NotMUM", "NotPrime", "NotRankFour", "OrderMismatch",

@@ -23,6 +23,7 @@ DEFAULT_ORDER = 64
 DEFAULT_MAX_DEGREE = 16
 DEFAULT_PRIME_BOUND = 50
 MAX_PRIME_BOUND = 10**4
+MAX_ORDER = 1000
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,8 @@ class JobConfig:
     def validate(self) -> None:
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
+        if self.order > MAX_ORDER:
+            raise ValueError(f"order {self.order} exceeds the cap {MAX_ORDER}")
         if self.command in ("instantons", "certify", "report"):
             if self.max_degree < 1:
                 raise ValueError(f"max degree must be >= 1, got {self.max_degree}")
@@ -72,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--fixture", metavar="NAME",
                          help="built-in operator: " + ", ".join(fixture_names()))
         p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                       help=f"series truncation order (default {DEFAULT_ORDER})")
+                       help=f"series truncation order, at most {MAX_ORDER} "
+                            f"(default {DEFAULT_ORDER})")
         if degree:
             p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
                            help="largest instanton degree tabulated "

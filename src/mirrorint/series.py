@@ -31,12 +31,14 @@ V = t + O(t^2) (or an inner series of valuation >= 2): f^-1(q) =
 (f/c)^-1(q/c) and outer(c V) = sum_k (outer_k c^k) V^k.
 
 Rational coefficients are cleared before any residue is taken.  The outer
-series is scaled by its common denominator.  Every output coefficient is an
-integer polynomial in v_j = [t^j](q/(c t)) (reversion) or v_j = [t^(j+1)] V
-(compose), weighted homogeneous of weight at most n - 2 with v_j of weight
-j, so its denominator divides
+series is scaled by its common denominator.  An output coefficient is an
+integer polynomial in v_j = [t^j](q/(c t)) (reversion) or a sum over k of
+F_k = outer_k c^k times one in v_j = [t^(j+1)] V (compose), weighted
+homogeneous of weight at most n - 2, or n - 1 - k for the term of F_k, with
+v_j of weight j.  So its denominator divides D(n - 2), or
+lcm_k den(F_k) D(n - 1 - k), for
 
-  D(n - 2),   D(0) = 1,   D(s) = lcm_{1 <= j <= s} den(v_j) D(s - j),
+  D(0) = 1,   D(s) = lcm_{1 <= j <= s} den(v_j) D(s - j),
 
 and the kernel rebuilds the integers D * coefficient.  Primes dividing an
 input denominator are skipped.  Their count comes, before any residue is
@@ -49,8 +51,10 @@ product exceeds twice it:
 
 with a, b, R powers of two read off the inputs and s_m the little
 Schroeder numbers.  On integer inputs D = 1 and no prime is skipped.  The
-Fraction Horner and Newton references the tests compare against live in
-tests/helpers.py.
+one function, _multimodular, then checks the CRT result at the next unused
+prime and raises CRTMismatch where they disagree, so a bound or a D too
+small cannot return wrong coefficients.  The Fraction Horner and Newton
+references the tests compare against live in tests/helpers.py.
 
 Operators t*d/dt (delta) and log t interact by delta(log t) = 1, which is
 what makes LogSeries closed under delta.
@@ -60,8 +64,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable, Sequence
+from itertools import count, repeat
+from typing import Callable, Iterable, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -89,6 +93,10 @@ class ExpConstantTerm(SeriesError):
 
 class LogConstantTerm(SeriesError):
     """log is only defined on series with constant term 1."""
+
+
+class CRTMismatch(SeriesError):
+    """A multimodular result disagrees with its residue at the check prime."""
 
 
 def _frac(x) -> Fraction:
@@ -143,33 +151,41 @@ def _inv_raw(a: Sequence[Fraction], n: int) -> list[Fraction]:
 _MODULI: list[int] = []  # largest primes below 2^62, descending; grown on first use
 
 
+def _modulus(i: int) -> int:
+    """The i-th largest prime below 2^62, growing the list as needed."""
+    from .padic import is_prime  # padic imports this module
+    while i >= len(_MODULI):
+        c = _MODULI[-1] - 2 if _MODULI else (1 << 62) - 1
+        while not is_prime(c):
+            c -= 2
+        _MODULI.append(c)
+    return _MODULI[i]
+
+
 def _moduli_for(bound: int, den: int = 1) -> list[int]:
     """Shortest run of the prime list, skipping the primes that divide den,
     whose product exceeds 2 * bound."""
-    from .padic import is_prime  # padic imports this module
     out, prod, i = [], 1, 0
     while prod <= 2 * bound:
-        if i == len(_MODULI):
-            c = _MODULI[-1] - 2 if _MODULI else (1 << 62) - 1
-            while not is_prime(c):
-                c -= 2
-            _MODULI.append(c)
-        p, i = _MODULI[i], i + 1
+        p, i = _modulus(i), i + 1
         if den % p:
             out.append(p)
             prod *= p
     return out
 
 
-def _den_multiple(vs: Sequence[Fraction], s: int) -> int:
-    """D(s) for D(0) = 1 and D(k) = lcm_{1 <= j <= k} den(v_j) D(k - j).
+def _den_multiple(vs: Sequence[Fraction], s: int, outer_dens: Sequence[int] = (1,)) -> int:
+    """lcm_i outer_dens[i] D(s - i), by default D(s), for D(0) = 1 and
+    D(k) = lcm_{1 <= j <= k} den(v_j) D(k - j).
 
     D(k) is a multiple of den(v_(j_1)) ... den(v_(j_i)) whenever
     j_1 + ... + j_i <= k, so it clears the denominator of any integer
     polynomial in v_0 (an integer), v_1, v_2, ... that is weighted
-    homogeneous of weight at most k, v_j having weight j.  Per prime l,
-    v_l(D(k)) is the largest sum of v_l(den v_j) over parts j summing to at
-    most k.  D(k - 1) divides D(k), so a v_j with denominator 1 adds nothing.
+    homogeneous of weight at most k, v_j having weight j, and the result
+    clears sum_i w_i P_i for den(w_i) = outer_dens[i] and such P_i of weight
+    at most s - i.  Per prime l, v_l(D(k)) is the largest sum of v_l(den v_j)
+    over parts j summing to at most k.  D(k - 1) divides D(k), so a v_j with
+    denominator 1 adds nothing.
     """
     dens = [(j, v.denominator) for j, v in enumerate(vs[:s + 1]) if j and v.denominator != 1]
     D = [1]
@@ -180,7 +196,7 @@ def _den_multiple(vs: Sequence[Fraction], s: int) -> int:
                 break
             d = math.lcm(d, dj * D[k - j])
         D.append(d)
-    return D[-1]
+    return math.lcm(*(w * D[s - i] for i, w in enumerate(outer_dens[:s + 1])))
 
 
 def _rate(cs: Sequence[int], scale: int = 1) -> int:
@@ -283,17 +299,23 @@ def _reversion_mod(u: Sequence[int], n: int, p: int) -> list[int]:
     return out
 
 
-def _crt(residues: Sequence[Sequence[int]], moduli: Sequence[int],
-         scale: int = 1) -> list[int]:
-    """Coefficientwise CRT of scale times the residues into the symmetric
-    range (-M/2, M/2)."""
+def _multimodular(per_prime: Callable[[int], list[int]], bound: int, den: int,
+                  D: int) -> list[int]:
+    """The integers D * c_m, |D c_m| <= D * bound, by CRT of per_prime(p) =
+    [c_m mod p] over primes p prime to den; CRTMismatch if one more disagrees."""
+    moduli = _moduli_for(D * bound, den)
     M = math.prod(moduli)
-    basis = [scale * (M // p) * pow(M // p, -1, p) % M for p in moduli]
+    basis = [D * (M // p) * pow(M // p, -1, p) % M for p in moduli]
     half = M >> 1
     out = []
-    for rs in zip(*residues):
+    for rs in zip(*map(per_prime, moduli)):
         x = sum(r * e for r, e in zip(rs, basis)) % M
         out.append(x - M if x > half else x)
+    p = next(p for p in map(_modulus, count()) if den % p and p not in moduli)
+    for m, (x, r) in enumerate(zip(out, per_prime(p))):
+        if (x - D * r) % p:
+            raise CRTMismatch(f"the CRT over {len(moduli)} primes disagrees with "
+                              f"the check prime {p} at index {m}")
     return out
 
 
@@ -306,17 +328,18 @@ def _over_lcm(cs: Sequence[Fraction]) -> tuple[list[int], int]:
 def _compose_multimodular(outer: Sequence[Fraction], inner: Sequence[Fraction],
                           n: int) -> list[Fraction]:
     # inner = c V with V = t + O(t^2) (c = 1 when inner has valuation >= 2),
-    # so outer(inner) = sum_k (outer_k c^k) V^k.  [t^m] V^k is an integer
-    # polynomial in v_j = [t^(j+1)] V of weight m - k <= n - 2.
+    # so outer(inner) = sum_k F_k V^k with F_k = outer_k c^k.  [t^m] V^k is
+    # an integer polynomial in v_j = [t^(j+1)] V of weight m - k <= n - 1 - k.
     c = inner[1] if len(inner) > 1 and inner[1] else _ONE
     if c != 1:
         outer = [x * c ** k for k, x in enumerate(outer)]
         inner = [x / c for x in inner]
     f, den = _over_lcm(outer)
     g, gden = _over_lcm(inner)
-    D = _den_multiple(inner[1:], n - 2)
-    moduli = _moduli_for(D * _compose_bound(f, g, n, gden), gden)
-    ys = _crt([_compose_mod(f, _residues(g, gden, p), n, p) for p in moduli], moduli, D)
+    outer_dens = [x.denominator for x in outer[1:]]
+    D = math.lcm(den, _den_multiple(inner[1:], n - 2, outer_dens)) // den
+    ys = _multimodular(lambda p: _compose_mod(f, _residues(g, gden, p), n, p),
+                       _compose_bound(f, g, n, gden), gden, D)
     return [Fraction(y, den * D) for y in ys]
 
 
@@ -328,8 +351,8 @@ def _reversion_multimodular(f: Sequence[Fraction], n: int) -> list[Fraction]:
     U = f[1:] if c == 1 else [x / c for x in f[1:]]
     u, uden = _over_lcm(U)
     D = _den_multiple(U, n - 2)
-    moduli = _moduli_for(D * _reversion_bound(u, n, uden), uden)
-    ts = _crt([_reversion_mod(_residues(u, uden, p), n, p) for p in moduli], moduli, D)
+    ts = _multimodular(lambda p: _reversion_mod(_residues(u, uden, p), n, p),
+                       _reversion_bound(u, n, uden), uden, D)
     if c == 1:
         return [Fraction(x, D) for x in ts]
     return [Fraction(x, D) / c ** m for m, x in enumerate(ts)]
@@ -684,10 +707,6 @@ class LogSeries:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)
-
-    def agrees_with(self, other: "LogSeries", through: int | None = None) -> bool:
-        n = max(len(self.parts), len(other.parts))
-        return all(self.part(j).agrees_with(other.part(j), through) for j in range(n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogSeries):

@@ -319,6 +319,16 @@ def den_extremal_inputs(n):
     return q, f, g
 
 
+def per_term_den_inputs(n):
+    """f = sum_(k <= 3n/4) t^k / 2^k and g = t + t^2/2, whose f(g) has
+    [t^m] = (sum_k C(k, m - k)) / 2^m.  At n = 40 the per-term multiple
+    lcm_k den(f_k) D(n - 1 - k) = 2^(n - 1) is the lcm of the output
+    denominators, against D(n - 2) lcm(den f) = 2^68."""
+    f = RationalSeries.from_coeffs([F(1, 2 ** k) for k in range(3 * n // 4 + 1)], order=n)
+    g = RationalSeries.from_coeffs([1, F(1, 2)], order=n, valuation=1)
+    return f, g
+
+
 _LEADS = (1, 2, -3, F(1, 5), F(-7, 2))
 
 
@@ -472,10 +482,14 @@ def run_dwork_soundness(cases: int, seed: int = 20240509) -> int:
     return cases
 
 
+def frobenius_difference(y: RationalSeries, p: int) -> RationalSeries:
+    """b = Y(q) - Y(q^p) at the order of y."""
+    return y - frobenius_substitute(y, p, max_order=y.order)
+
+
 def run_ksv_integrality_equivalence(cases: int, seed: int = 20240510) -> int:
     """ksv_certify passes exactly when every n_d below the order is
-    p-integral, and the failure index is the first bad Lambert degree
-    when that degree is the unique non-integral one."""
+    p-integral, and its witness psi solves delta^3 psi = Y(q) - Y(q^p)."""
     rng = random.Random(seed)
     primes = (2, 3, 5, 7, 11)
     for i in range(cases):
@@ -493,8 +507,7 @@ def run_ksv_integrality_equivalence(cases: int, seed: int = 20240510) -> int:
         cert = ksv_certify(y, p, order)
         integral = all(valuation(nd, p).value >= 0 for nd in numbers[1:])
         assert cert.verdict == integral, (p, numbers)
-        if cert.verdict:
-            assert cert.witness_verified
+        assert cert.witness.delta().delta().delta() == frobenius_difference(y, p)
         extracted = instanton_extract(y, dmax)
         assert (min(valuation(nd, p).value for nd in extracted.numbers[1:])
                 >= 0) == cert.verdict
@@ -502,7 +515,8 @@ def run_ksv_integrality_equivalence(cases: int, seed: int = 20240510) -> int:
 
 
 def run_gauge_ksv_agreement(cases: int, seed: int = 20240511) -> int:
-    """psi == -(1/2) m14 always, defining relations hold exactly, and for
+    """psi == -(1/2) m14 always, delta^3 psi = b and the four defining
+    relations hold exactly on the returned series, and for
     odd p (every admissible prime is > rank >= 2) the gauge verdict
     matches the direct criterion.  At p = 2 the factor -2 in m14 donates
     one valuation unit, so only the witness identity is asserted there.
@@ -517,7 +531,12 @@ def run_gauge_ksv_agreement(cases: int, seed: int = 20240511) -> int:
         ksv = ksv_certify(y, p, order)
         gauge = gauge_certify(y, p, order)
         assert ksv.witness == gauge.m14 * F(-1, 2)
-        assert gauge.relations_verified
+        b = frobenius_difference(y, p)
+        assert ksv.witness.delta().delta().delta() == b
+        assert gauge.m23.delta() == b
+        assert gauge.m23 == -gauge.m13.delta()
+        assert gauge.m14.delta() == 2 * gauge.m13
+        assert gauge.m14.delta().delta().delta() * F(1, 2) == -b
         if p != 2:
             assert gauge.verdict == ksv.verdict, (p, numbers)
     return cases

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import mirrorint
-from mirrorint import cli, hypergeometric_doc, picard_fuchs, run_pipeline
+from mirrorint import cli, hypergeometric_doc, picard_fuchs, run_pipeline, series
 from mirrorint.cli import main
 
 import helpers
@@ -116,6 +116,30 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert str(cli.MAX_PRIME_BOUND) in err
+
+    def test_order_above_cap_rejected(self):
+        start = time.perf_counter()
+        code, out, err = run_cli("mirror-map", "--fixture", "quintic", "--order", "1001")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert cli.MAX_ORDER == 1000 and "cap 1000" in err
+
+    def test_short_prime_list_exits_two(self, monkeypatch):
+        # at order 40 the reversion takes 10 primes for a t(q) of 413 bits:
+        # one prime short still rebuilds it, and the check prime agrees; half
+        # the list rebuilds wrong coefficients, which the check prime rejects
+        # before anything is printed
+        argv = ("mirror-map", "--fixture", "quintic", "--order", "40")
+        want = run_cli(*argv)
+        full = series._moduli_for
+        monkeypatch.setattr(series, "_moduli_for",
+                            lambda bound, den=1: full(bound, den)[:-1])
+        assert run_cli(*argv) == want
+        monkeypatch.setattr(series, "_moduli_for",
+                            lambda bound, den=1: full(bound, den)[:len(full(bound, den)) // 2])
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "CRTMismatch" in err and "check prime" in err
 
     def test_malformed_primes_list(self):
         code, out, err = run_cli("certify", "--fixture", "quintic",

@@ -14,6 +14,7 @@ import pytest
 
 import mirrorint
 from mirrorint import (
+    CRTMismatch,
     CompositionValuation,
     ExpConstantTerm,
     LogConstantTerm,
@@ -294,7 +295,8 @@ def _ints(s):
 class TestMultimodularBound:
     def test_short_prime_list_is_caught(self, monkeypatch):
         # on the extremal inputs the top coefficient equals the bound, so a
-        # prime list one short of it rebuilds a wrong coefficient
+        # prime list one short of it rebuilds a wrong coefficient, which the
+        # check prime catches
         f, g = helpers.extremal_compose_inputs(40, 3, 5, 7)
         q = helpers.extremal_reversion_input(40, 9)
         want_y, want_t = helpers.fraction_compose(f, g), helpers.fraction_reversion(q)
@@ -305,8 +307,10 @@ class TestMultimodularBound:
         assert len(full(series._reversion_bound(_ints(q)[1:], 40))) >= 2
         monkeypatch.setattr(series, "_moduli_for",
                             lambda bound, den=1: full(bound, den)[:-1])
-        assert f.compose(g) != want_y
-        assert q.reversion() != want_t
+        with pytest.raises(CRTMismatch, match="check prime"):
+            f.compose(g)
+        with pytest.raises(CRTMismatch, match="check prime"):
+            q.reversion()
 
     def test_den_multiple_is_attained(self):
         n = 40
@@ -319,19 +323,35 @@ class TestMultimodularBound:
         assert math.lcm(*(c.denominator for c in y.coeffs)) == 6 ** (n - 2)
         assert series._den_multiple(q.coeff_list()[1:], n - 2) == 2 ** (n - 2)
         assert series._den_multiple(g.coeff_list()[1:], n - 2) == 6 ** (n - 2)
+        # a rational outer series: the per-term multiple is attained
+        f, g = helpers.per_term_den_inputs(n)
+        y = f.compose(g)
+        assert y == helpers.fraction_compose(f, g)
+        assert math.lcm(*(c.denominator for c in y.coeffs)) == 2 ** (n - 1)
+        vs, dens = g.coeff_list()[1:], [c.denominator for c in f.coeffs]
+        assert series._den_multiple(vs, n - 2, dens[1:]) == 2 ** (n - 1)
+        assert series._den_multiple(vs, n - 2) * math.lcm(*dens) == 2 ** 68
 
     @pytest.mark.parametrize("ell", [2, 3])
     def test_short_den_multiple_is_caught(self, monkeypatch, ell):
         # the extremal inputs with one factor ell taken out of D: the kernel
-        # rebuilds D * coefficient as an integer, which it no longer is
+        # rebuilds D * coefficient as an integer, which it no longer is, and
+        # the check prime catches it
         q, f, g = helpers.den_extremal_inputs(40)
+        f2, g2 = helpers.per_term_den_inputs(40)
         want_t, want_y = helpers.fraction_reversion(q), helpers.fraction_compose(f, g)
         assert q.reversion() == want_t and f.compose(g) == want_y
+        assert f2.compose(g2) == helpers.fraction_compose(f2, g2)
         full = series._den_multiple
-        monkeypatch.setattr(series, "_den_multiple", lambda vs, s: full(vs, s) // ell)
-        assert f.compose(g) != want_y
+        monkeypatch.setattr(series, "_den_multiple",
+                            lambda vs, s, *weights: full(vs, s, *weights) // ell)
+        with pytest.raises(CRTMismatch, match="check prime"):
+            f.compose(g)
         if ell == 2:
-            assert q.reversion() != want_t
+            with pytest.raises(CRTMismatch, match="check prime"):
+                q.reversion()
+            with pytest.raises(CRTMismatch, match="check prime"):
+                f2.compose(g2)
 
     @pytest.mark.parametrize("name", ["quintic", "x2222"])
     def test_bound_covers_pipeline_series(self, name):
