@@ -5,7 +5,10 @@ Frobenius solution basis, the canonical coordinate q(t) in the q'(0) = 1
 gauge, the Yukawa coupling and its instanton numbers, and certifies their
 p-adic integrality coefficient by coefficient (Dwork congruence, the
 Kontsevich-Schwarz-Vologodsky criterion, and the Frobenius gauge equations).
-Everything runs over Fraction; no floating point is involved anywhere.
+Coefficients are exact rationals: series composition and reversion run
+modulo primes below 2^62 and rebuild the exact rationals by CRT, checked
+at one more prime, and the rest runs over Fraction.  No floating point is
+involved anywhere.
 """
 
 from .certify import (DworkCertificate, FailureLocus, GaugeCertificate,

@@ -38,9 +38,8 @@ accepts, at the index where p first enters the denominators of u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .padic import _check_prime, _vp, frobenius_substitute, primes_up_to
 from .picard_fuchs import MirrorMap
@@ -48,16 +47,14 @@ from .series import RationalSeries
 from .yukawa import InstantonSeries
 
 
-@dataclass(frozen=True)
-class FailureLocus:
+class FailureLocus(NamedTuple):
     """First offending coefficient index and its p-adic valuation."""
 
     index: int
     valuation: int
 
 
-@dataclass(frozen=True)
-class DworkCertificate:
+class DworkCertificate(NamedTuple):
     prime: int
     order: int
     witness: RationalSeries
@@ -68,8 +65,7 @@ class DworkCertificate:
     kind = "dwork"
 
 
-@dataclass(frozen=True)
-class KSVCertificate:
+class KSVCertificate(NamedTuple):
     prime: int
     order: int
     witness: RationalSeries
@@ -80,15 +76,13 @@ class KSVCertificate:
     kind = "ksv"
 
 
-@dataclass(frozen=True)
-class SeriesVerdict:
+class SeriesVerdict(NamedTuple):
     name: str
     passed: bool
     failure: Optional[FailureLocus]
 
 
-@dataclass(frozen=True)
-class GaugeCertificate:
+class GaugeCertificate(NamedTuple):
     prime: int
     order: int
     m13: RationalSeries
@@ -208,8 +202,7 @@ def denominator_support(values) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
-class PrimeCertificates:
+class PrimeCertificates(NamedTuple):
     prime: int
     dwork: DworkCertificate
     ksv: KSVCertificate
@@ -223,8 +216,7 @@ class PrimeCertificates:
                 and self.gauge.verdict and self.gauge.relations_verified)
 
 
-@dataclass(frozen=True)
-class IntegralityReport:
+class IntegralityReport(NamedTuple):
     """Aggregated certificate verdicts with the observed denominator data.
 
     consistent means every admissible tested prime passed all three
@@ -245,7 +237,7 @@ class IntegralityReport:
     primes_skipped: tuple[tuple[int, str], ...]
     certificates: tuple[PrimeCertificates, ...]
     consistent: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 _REPORT_NOTES = (

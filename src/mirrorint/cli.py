@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import reports
 from .certify import n_integrality_report
@@ -26,8 +25,7 @@ MAX_PRIME_BOUND = 10**4
 MAX_ORDER = 1000
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(NamedTuple):
     command: str
     operator_path: Optional[str]
     fixture: Optional[str]

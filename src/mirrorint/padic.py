@@ -9,8 +9,8 @@ with its Frobenius image f(t^p); both are exact on Fraction coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import RationalSeries
 
@@ -100,8 +100,7 @@ def _vp(x, p: int):
     return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
 
 
-@dataclass(frozen=True)
-class PadicValuation:
+class PadicValuation(NamedTuple):
     """v_p(x); value is an int, or math.inf for x = 0."""
 
     prime: int

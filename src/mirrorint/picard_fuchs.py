@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import LogSeries, RationalSeries, _inv_raw, _mul_raw, exp_series
 
@@ -63,32 +63,18 @@ def _parse_int(x, where: str) -> int:
     raise MalformedSpec(f"{where}: expected integer, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class PFOperator:
-    """Operator sum a_i(t) delta^i; coeffs[i] lists a_i as (a_{i,0}, a_{i,1}, ...)."""
+class PFOperator(NamedTuple):
+    """Operator sum a_i(t) delta^i; coeffs[i] lists a_i as (a_{i,0}, a_{i,1}, ...).
+
+    Construction does not validate: load_operator checks the rank, the
+    shape and the MUM normalization, and every operator the package builds
+    comes from it.
+    """
 
     name: str
     rank: int
     coeffs: tuple[tuple[int, ...], ...]
     n0: int | None = None
-
-    def __post_init__(self):
-        if self.rank < 2:
-            raise MalformedSpec(f"rank must be >= 2, got {self.rank}")
-        if len(self.coeffs) != self.rank + 1:
-            raise MalformedSpec(
-                f"need {self.rank + 1} coefficient polynomials, got {len(self.coeffs)}")
-        for i, poly in enumerate(self.coeffs):
-            if not poly:
-                raise MalformedSpec(f"a_{i} has no coefficients")
-        const = [poly[0] for poly in self.coeffs]
-        if const[self.rank] != 1:
-            raise NotMUM(f"a_{self.rank}(0) = {const[self.rank]}, need 1")
-        bad = [i for i in range(self.rank) if const[i] != 0]
-        if bad:
-            raise NotMUM(
-                "indicial polynomial is not x^rank: "
-                + ", ".join(f"a_{i}(0) = {const[i]}" for i in bad))
 
     @property
     def t_degree(self) -> int:
@@ -126,6 +112,19 @@ def load_operator(doc: dict) -> PFOperator:
     n0 = _parse_int(doc["n0"], "n0") if "n0" in doc else None
     if "N" in doc:
         _parse_int(doc["N"], "N")  # validated, otherwise unused
+    if rank < 2:
+        raise MalformedSpec(f"rank must be >= 2, got {rank}")
+    if len(coeffs) != rank + 1:
+        raise MalformedSpec(
+            f"need {rank + 1} coefficient polynomials, got {len(coeffs)}")
+    const = [poly[0] for poly in coeffs]
+    if const[rank] != 1:
+        raise NotMUM(f"a_{rank}(0) = {const[rank]}, need 1")
+    bad = [i for i in range(rank) if const[i] != 0]
+    if bad:
+        raise NotMUM(
+            "indicial polynomial is not x^rank: "
+            + ", ".join(f"a_{i}(0) = {const[i]}" for i in bad))
     return PFOperator(name=name, rank=rank, coeffs=tuple(coeffs), n0=n0)
 
 
@@ -145,8 +144,7 @@ def _taylor_shift(poly: tuple[int, ...], x0: int, r: int) -> list[Fraction]:
             for k in range(r)]
 
 
-@dataclass(frozen=True)
-class SolutionBasis:
+class SolutionBasis(NamedTuple):
     """Frobenius basis at a MUM point, held as the series g_0..g_{r-1}."""
 
     operator: PFOperator
@@ -214,8 +212,7 @@ def residual(op: PFOperator, y: LogSeries) -> LogSeries:
     return acc
 
 
-@dataclass(frozen=True)
-class MonodromyMatrix:
+class MonodromyMatrix(NamedTuple):
     """Matrix of d/d(log t) on the Frobenius basis.
 
     entries[k][j] is the coefficient of y_j in the image of y_k.  At a MUM
@@ -238,8 +235,7 @@ def monodromy_matrix(basis: SolutionBasis) -> MonodromyMatrix:
     return MonodromyMatrix(size=r, entries=rows)
 
 
-@dataclass(frozen=True)
-class MirrorMap:
+class MirrorMap(NamedTuple):
     """Canonical coordinate q(t) = t exp(g_1/g_0) and its inverse t(q).
 
     monodromy_index is the exponent k in q = t^k (unit); at a MUM point in

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .picard_fuchs import (MirrorMap, PFOperator, SolutionBasis, frobenius_solutions,
                            mirror_map)
@@ -12,8 +11,7 @@ from .yukawa import (InstantonSeries, YukawaData, instanton_extract, yukawa_q,
                      yukawa_t)
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     operator: PFOperator
     order: int
     basis: SolutionBasis

@@ -20,8 +20,8 @@ so n_m is recovered exactly from the bottom up:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .picard_fuchs import MirrorMap, PFOperator
 from .series import RationalSeries, exp_series
@@ -64,8 +64,7 @@ def yukawa_q(w_t: RationalSeries, y0: RationalSeries, mm: MirrorMap,
     return integrand.truncate(order).compose(mm.t_of_q.truncate(order + 1))
 
 
-@dataclass(frozen=True)
-class YukawaData:
+class YukawaData(NamedTuple):
     """Coupling in both coordinates, plus the declared normalization."""
 
     w_t: RationalSeries
@@ -73,8 +72,7 @@ class YukawaData:
     n0: Fraction
 
 
-@dataclass(frozen=True)
-class InstantonSeries:
+class InstantonSeries(NamedTuple):
     """Instanton numbers n_1..n_D extracted from a coupling of given order.
 
     numbers[d] is n_d (numbers[0] is the constant n_0); values beyond the

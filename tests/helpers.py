@@ -6,7 +6,6 @@ returns the number of cases it actually exercised.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from mirrorint import (
@@ -477,7 +476,7 @@ def run_dwork_soundness(cases: int, seed: int = 20240509) -> int:
         mm = mirror_from_unit(rng.choice((u, bad)))
         k = rng.randint(1, n - 1)
         tamper = RationalSeries.monomial(rand_frac(rng) or 1, k, mm.dlog_q.order)
-        cert_t = _check_dwork(replace(mm, dlog_q=mm.dlog_q + tamper), p, n)
+        cert_t = _check_dwork(mm._replace(dlog_q=mm.dlog_q + tamper), p, n)
         assert not cert_t.witness_verified, (p, k, mm.q_of_t)
     return cases
 

@@ -1,7 +1,6 @@
 """Integrality certificates: Dwork, KSV, gauge system, and the report."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -96,8 +95,8 @@ class TestDwork:
     def test_tampered_dlog_q_fails_reverification(self):
         # the witness is built from dlog_q and re-verified against q(t)
         result = run_pipeline(fixture_operator("quintic"), 20, max_degree=4)
-        bad = replace(result.mm,
-                      dlog_q=result.mm.dlog_q + RationalSeries.monomial(1, 3, 20))
+        bad = result.mm._replace(
+            dlog_q=result.mm.dlog_q + RationalSeries.monomial(1, 3, 20))
         for mm, ok in ((result.mm, True), (bad, False)):
             report = n_integrality_report(
                 operator_name="quintic", rank=4, order=20, mm=mm,
@@ -111,8 +110,8 @@ class TestDwork:
     def test_tamper_at_last_index_fails_reverification(self):
         # the once-per-map check must reach the coefficient of t^(order - 1)
         result = run_pipeline(fixture_operator("quintic"), 20, max_degree=4)
-        bad = replace(result.mm,
-                      dlog_q=result.mm.dlog_q + RationalSeries.monomial(1, 19, 20))
+        bad = result.mm._replace(
+            dlog_q=result.mm.dlog_q + RationalSeries.monomial(1, 19, 20))
         assert not dwork_certify(bad, 7, 20).witness_verified
         report = n_integrality_report(
             operator_name="quintic", rank=4, order=20, mm=bad,
@@ -209,6 +208,10 @@ class TestReport:
             assert per_prime.dwork.witness_verified
             assert per_prime.ksv.witness_verified
             p = per_prime.prime
+            # Dwork and KSV certificates have the same fields and compare as
+            # tuples; kind is a class attribute, so it pins the record type
+            kinds = (per_prime.dwork.kind, per_prime.ksv.kind, per_prime.gauge.kind)
+            assert kinds == ("dwork", "ksv", "gauge")
             assert per_prime.dwork == dwork_certify(result.mm, p, 50)
             assert per_prime.ksv == ksv_certify(result.yukawa.y_q, p, 50)
             assert per_prime.gauge == gauge_certify(result.yukawa.y_q, p, 50)
@@ -226,9 +229,9 @@ class TestReport:
         entry = report.certificates[0]
         assert entry.all_pass
         tampered = (
-            replace(entry, dwork=replace(entry.dwork, witness_verified=False)),
-            replace(entry, ksv=replace(entry.ksv, witness_verified=False)),
-            replace(entry, gauge=replace(entry.gauge, relations_verified=False)),
+            entry._replace(dwork=entry.dwork._replace(witness_verified=False)),
+            entry._replace(ksv=entry.ksv._replace(witness_verified=False)),
+            entry._replace(gauge=entry.gauge._replace(relations_verified=False)),
         )
         for t in tampered:
             assert t.dwork.verdict and t.ksv.verdict and t.gauge.verdict

@@ -424,16 +424,26 @@ class TestModuli:
         assert math.prod(ps) > 2 << 3000
         assert math.prod(ps[:-1]) <= 2 << 3000
 
-    def test_import_computes_no_prime(self):
+    @staticmethod
+    def _child(code: str) -> str:
+        """stdout of a fresh interpreter that runs `code` on this checkout."""
         root = str(Path(mirrorint.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import mirrorint, mirrorint.series as s; print(len(s._MODULI))"],
-            capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=path))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0\n"
+        return proc.stdout
+
+    def test_import_computes_no_prime(self):
+        out = self._child("import mirrorint, mirrorint.series as s; print(len(s._MODULI))")
+        assert out == "0\n"
+
+    def test_cli_import_loads_no_dataclasses(self):
+        # the records are NamedTuples: start-up pays for neither module
+        out = self._child("import sys, mirrorint.cli; "
+                          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        assert out == "[]\n"
 
 
 def test_modular_vs_fraction_property_suite(monkeypatch):

@@ -68,14 +68,11 @@ class TestYukawaT:
             yukawa_t(load_operator(doc), 1, 5)
 
     def test_non_integrable_rhs_rejected(self):
-        # a3(0) != 0 cannot pass operator validation; on a hand-built
-        # instance the constant term of delta(log W) stops the antiderivative
+        # a3(0) != 0 cannot pass load_operator; on an operator built
+        # directly the constant term of delta(log W) stops the antiderivative
         from mirrorint import PFOperator
-        op = object.__new__(PFOperator)
-        for field, value in (("name", "skew"), ("rank", 4),
-                             ("coeffs", ((0, -1), (0, -1), (0, -1), (1,), (1, -1))),
-                             ("n0", None)):
-            object.__setattr__(op, field, value)
+        op = PFOperator(name="skew", rank=4,
+                        coeffs=((0, -1), (0, -1), (0, -1), (1,), (1, -1)))
         with pytest.raises(SeriesError):
             yukawa_t(op, 1, 5)
 
